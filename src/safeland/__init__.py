@@ -7,9 +7,8 @@ commit a site; salient-point tracking and an interaction-matrix servo
 law fly the vehicle to touchdown.
 """
 
-from .belief import (LikelihoodModel, PersistenceModel, RegionTrack, associate,
-                     footprint_iou, likelihood_safe, likelihood_unsafe, predict,
-                     step, update)
+from .belief import (RegionTrack, associate, footprint_iou, likelihood_safe,
+                     likelihood_unsafe, predict, step, update)
 from .cli import RunConfig
 from .params import ConfigError, Params, apply_overrides, validate
 from .perception import (CueVector, PlaneFit, RegionMask, compute_cues,
@@ -20,9 +19,8 @@ from .scene import (Box, CameraModel, DepthFrame, FlatPatch, NoiseModel,
                     nadir_camera, render_true_depth, scenario_from_dict)
 from .selector import (FeasibilityResult, LandingDecision, distance_sq_to,
                        inscribed_distance_sq, inscribed_radius, select)
-from .servo import (FeatureSet, ServoState, VelocityCommand, centroid, control,
-                    detect_and_track, detect_features, ibvs_velocity,
-                    interaction_matrix)
+from .servo import (FeatureSet, VelocityCommand, control, detect_and_track,
+                    detect_features, ibvs_velocity, interaction_matrix)
 from .simloop import (EpisodeResult, VehicleState, run_episode, step_vehicle,
                       step_vehicle_world)
 

@@ -7,14 +7,13 @@ safe/unsafe cue likelihoods. Likelihoods are floored so no track ever
 saturates; evidence always stays revisable.
 
 Association runs on ground-projected footprints (greedy best-IoU), so
-camera motion does not break track identity.
+camera motion does not break track identity. Weights, likelihood scales,
+the floor and the persistence factor are read from ``Params``.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,66 +21,31 @@ from .params import Params
 from .perception import CueVector, RegionMask
 
 
-@dataclass(frozen=True)
-class LikelihoodModel:
-    """Bounded monotone cue-to-likelihood mappings with weights and a floor."""
-
-    sigma_f: float = 1.0    # scale on the (already normalized) flatness cue
-    sigma_s: float = 0.15   # rad
-    sigma_o: float = 0.5
-    w_f: float = 0.4
-    w_s: float = 0.2
-    w_o: float = 0.4
-    eps_l: float = 0.05
-
-    def __post_init__(self) -> None:
-        if min(self.w_f, self.w_s, self.w_o) < 0.0:
-            raise ValueError("weights must be non-negative")
-        if not 0.0 < self.eps_l <= 0.5:
-            raise ValueError("likelihood floor must be in (0, 0.5]")
-
-    @classmethod
-    def from_params(cls, params: Params) -> "LikelihoodModel":
-        return cls(sigma_f=params.sigma_f_cue, sigma_s=params.sigma_s,
-                   sigma_o=params.sigma_o, w_f=params.w_f, w_s=params.w_s,
-                   w_o=params.w_o, eps_l=params.eps_l)
-
-    def _l(self, x: float, sigma: float) -> float:
-        return max(math.exp(-x / sigma), self.eps_l)
-
-    def l_f(self, flatness: float) -> float:
-        return self._l(flatness, self.sigma_f)
-
-    def l_s(self, slope: float) -> float:
-        return self._l(slope, self.sigma_s)
-
-    def l_o(self, obstacle: float) -> float:
-        return self._l(obstacle, self.sigma_o)
+def cue_likelihood(x: float, sigma: float, eps_l: float) -> float:
+    """Bounded monotone cue-to-likelihood mapping: 1 at a perfect cue, floored at eps_l."""
+    return max(math.exp(-x / sigma), eps_l)
 
 
-@dataclass(frozen=True)
-class PersistenceModel:
-    alpha: float = 0.95
-
-    def __post_init__(self) -> None:
-        if not 0.5 < self.alpha < 1.0:
-            raise ValueError("persistence alpha must be in (0.5, 1)")
+def _cue_likelihoods(cues: CueVector, params: Params) -> tuple[float, float, float]:
+    return (cue_likelihood(cues.flatness, params.sigma_f_cue, params.eps_l),
+            cue_likelihood(cues.slope, params.sigma_s, params.eps_l),
+            cue_likelihood(cues.obstacle, params.sigma_o, params.eps_l))
 
 
-def likelihood_safe(cues: CueVector, model: LikelihoodModel) -> float:
+def likelihood_safe(cues: CueVector, params: Params) -> float:
     """Weighted product of the per-cue likelihoods, clamped to [eps_l, 1]."""
-    value = (model.l_f(cues.flatness) ** model.w_f
-             * model.l_s(cues.slope) ** model.w_s
-             * model.l_o(cues.obstacle) ** model.w_o)
-    return min(max(value, model.eps_l), 1.0)
+    l_f, l_s, l_o = _cue_likelihoods(cues, params)
+    value = l_f ** params.w_f * l_s ** params.w_s * l_o ** params.w_o
+    return min(max(value, params.eps_l), 1.0)
 
 
-def likelihood_unsafe(cues: CueVector, model: LikelihoodModel) -> float:
+def likelihood_unsafe(cues: CueVector, params: Params) -> float:
     """Complement-product counterpart, same floor; increases as cues worsen."""
-    value = ((1.0 - model.l_f(cues.flatness)) ** model.w_f
-             * (1.0 - model.l_s(cues.slope)) ** model.w_s
-             * (1.0 - model.l_o(cues.obstacle)) ** model.w_o)
-    return min(max(value, model.eps_l), 1.0)
+    l_f, l_s, l_o = _cue_likelihoods(cues, params)
+    value = ((1.0 - l_f) ** params.w_f
+             * (1.0 - l_s) ** params.w_s
+             * (1.0 - l_o) ** params.w_o)
+    return min(max(value, params.eps_l), 1.0)
 
 
 def predict(b_prev: float, alpha: float) -> float:
@@ -100,10 +64,8 @@ class RegionTrack:
     id: int
     mask: RegionMask
     belief: float
-    last_seen: int
-    cues: CueVector | None = None
     misses: int = 0
-    history: deque = field(default_factory=lambda: deque(maxlen=512))
+    likelihoods: tuple[float, float] | None = None  # (l1, l0) of the last tick; None if unmatched
 
 
 def footprint_iou(cells_a: np.ndarray, cells_b: np.ndarray) -> float:
@@ -125,7 +87,7 @@ class AssociationResult:
 
 
 def associate(tracks: list[RegionTrack], regions: list[RegionMask], *,
-              frame_index: int, b0: float, next_id: int,
+              b0: float, next_id: int,
               iou_min: float = 0.3, grace: int = 5) -> AssociationResult:
     """Greedy best-IoU matching of current regions onto existing tracks.
 
@@ -150,7 +112,6 @@ def associate(tracks: list[RegionTrack], regions: list[RegionMask], *,
         used_t[i] = used_r[j] = True
         track, region = tracks[i], regions[j]
         track.mask = region
-        track.last_seen = frame_index
         track.misses = 0
         matches.append((track, region))
 
@@ -165,8 +126,7 @@ def associate(tracks: list[RegionTrack], regions: list[RegionMask], *,
     for j, region in enumerate(regions):
         if used_r[j]:
             continue
-        fresh = RegionTrack(id=next_id, mask=region, belief=b0,
-                            last_seen=frame_index)
+        fresh = RegionTrack(id=next_id, mask=region, belief=b0)
         next_id += 1
         survivors.append(fresh)
         matches.append((fresh, region))
@@ -175,18 +135,16 @@ def associate(tracks: list[RegionTrack], regions: list[RegionMask], *,
 
 
 def step(tracks: list[RegionTrack], matched_cues: dict[int, CueVector],
-         model: LikelihoodModel, persistence: PersistenceModel,
-         frame_index: int) -> None:
+         params: Params) -> None:
     """One belief tick: predict every track, update the matched ones."""
     for track in tracks:
-        b_bar = predict(track.belief, persistence.alpha)
+        b_bar = predict(track.belief, params.alpha)
         cues = matched_cues.get(track.id)
         if cues is None:
             track.belief = b_bar
-            track.history.append((frame_index, math.nan, math.nan, b_bar))
+            track.likelihoods = None
             continue
-        l1 = likelihood_safe(cues, model)
-        l0 = likelihood_unsafe(cues, model)
+        l1 = likelihood_safe(cues, params)
+        l0 = likelihood_unsafe(cues, params)
         track.belief = update(b_bar, l1, l0)
-        track.cues = cues
-        track.history.append((frame_index, l1, l0, track.belief))
+        track.likelihoods = (l1, l0)

@@ -83,53 +83,43 @@ def parse_overrides(pairs: list[str]) -> dict[str, str]:
     return out
 
 
-class MapWriter:
-    """Writes diagnostic rasters every Nth frame and at commit time."""
+_MAP_EVERY = 10  # frames between map snapshots
 
-    def __init__(self, out_dir: Path, seed: int, every: int = 10):
+
+class MapWriter:
+    """Writes diagnostic rasters every ``_MAP_EVERY``-th frame and at commit time."""
+
+    def __init__(self, out_dir: Path, seed: int):
         self.dir = out_dir / "maps"
         self.dir.mkdir(parents=True, exist_ok=True)
         self.seed = seed
-        self.every = every
 
     def __call__(self, event: str, data: dict) -> None:
-        if event == "scan_frame" and data["t"] % self.every != 0:
+        if event not in ("scan_frame", "exec_frame", "commit"):
             return
-        if event == "exec_frame":
-            if data["t"] % self.every != 0:
-                return
-            frame = data["frame"]
-            stem = f"s{self.seed}_t{data['t']:04d}"
-            raster.depth_to_pgm(self.dir / f"{stem}_depth.pgm", frame.depth, frame.valid)
-            raster.gray_to_pgm(self.dir / f"{stem}_intensity.pgm", frame.intensity)
-            return
-        if event not in ("scan_frame", "commit"):
+        if event != "commit" and data["t"] % _MAP_EVERY != 0:
             return
         frame = data["frame"]
         stem = f"s{self.seed}_t{data['t']:04d}" + ("_commit" if event == "commit" else "")
         raster.depth_to_pgm(self.dir / f"{stem}_depth.pgm", frame.depth, frame.valid)
         raster.gray_to_pgm(self.dir / f"{stem}_intensity.pgm", frame.intensity)
-        if event == "scan_frame":
-            labels = region_label_map(data["regions"], frame.depth.shape)
-            raster.labels_to_pgm(self.dir / f"{stem}_regions.pgm", labels)
-            belief_map = np.zeros(frame.depth.shape)
-            like_map = np.zeros(frame.depth.shape)
-            for track in data["tracks"]:
-                if track.mask.camera is not frame.camera:
-                    continue
-                belief_map[track.mask.pixels] = track.belief
-                if track.history:
-                    l1 = track.history[-1][1]
-                    if np.isfinite(l1):
-                        like_map[track.mask.pixels] = l1
-            raster.gray_to_pgm(self.dir / f"{stem}_belief.pgm", belief_map)
-            raster.gray_to_pgm(self.dir / f"{stem}_likelihood.pgm", like_map)
-            feas_map = np.zeros(frame.depth.shape)
-            for track in data["tracks"]:
-                if track.mask.camera is frame.camera:
-                    rho = data["feasibility"][track.id].rho
-                    feas_map[track.mask.pixels] = min(rho / 2.0, 1.0)
-            raster.gray_to_pgm(self.dir / f"{stem}_feasibility.pgm", feas_map)
+        if event != "scan_frame":
+            return
+        labels = region_label_map(data["regions"], frame.depth.shape)
+        raster.labels_to_pgm(self.dir / f"{stem}_regions.pgm", labels)
+        belief_map = np.zeros(frame.depth.shape)
+        like_map = np.zeros(frame.depth.shape)
+        feas_map = np.zeros(frame.depth.shape)
+        for track in data["tracks"]:
+            if track.mask.camera is not frame.camera:
+                continue
+            belief_map[track.mask.pixels] = track.belief
+            if track.likelihoods is not None:
+                like_map[track.mask.pixels] = track.likelihoods[0]
+            feas_map[track.mask.pixels] = min(data["feasibility"][track.id].rho / 2.0, 1.0)
+        raster.gray_to_pgm(self.dir / f"{stem}_belief.pgm", belief_map)
+        raster.gray_to_pgm(self.dir / f"{stem}_likelihood.pgm", like_map)
+        raster.gray_to_pgm(self.dir / f"{stem}_feasibility.pgm", feas_map)
 
 
 def _write_csv(path: Path, fields: tuple[str, ...], rows: list[dict]) -> None:

@@ -27,6 +27,7 @@ import numpy as np
 import yaml
 
 _EXIT_HEIGHT = -1.0e30  # stands in for "ray left the world bounds"
+_MAX_RANGE = 100.0      # m, farther returns are invalid
 
 
 @dataclass(frozen=True)
@@ -188,26 +189,26 @@ class World:
         ny, nx = self.heights.shape
         return ((nx - 1) * self.resolution, (ny - 1) * self.resolution)
 
-    @property
-    def max_surface_height(self) -> float:
-        top = float(self.heights.max())
-        for box in self.obstacles:
-            top = max(top, self.height_at(*box.center) + box.height)
-        return top
-
     def height_at(self, x, y):
         """Terrain height (m); out-of-bounds points report a deep sentinel."""
         return _bilinear_grid(self.heights, self.resolution, x, y, _EXIT_HEIGHT)
 
-    def texture_at(self, x, y, footprint=None):
-        """Ground albedo, box-filtered to the sampling footprint (m) when given.
+    def surface_height_at(self, x: float, y: float) -> float:
+        """Height (m) of the surface under (x, y): the terrain, or the top of a box there."""
+        top = float(self.height_at(x, y))
+        for box in self.obstacles:
+            if (abs(x - box.center[0]) <= box.extents[0] / 2.0
+                    and abs(y - box.center[1]) <= box.extents[1] / 2.0):
+                top = max(top, float(self.height_at(*box.center)) + box.height)
+        return top
+
+    def texture_at(self, x, y, footprint):
+        """Ground albedo, box-filtered to the sampling footprint (m).
 
         Filtering picks the mip pair bracketing the footprint and blends
         them, so a descending camera sees progressively finer content
         without aliasing at altitude.
         """
-        if footprint is None:
-            return _bilinear_grid(self.texture, self.texture_resolution, x, y, 0.0)
         xb, yb, fp = np.broadcast_arrays(np.asarray(x, dtype=float),
                                          np.asarray(y, dtype=float),
                                          np.asarray(footprint, dtype=float))
@@ -400,9 +401,7 @@ def _box_intersect(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray,
     return np.where(hit, t_hit, np.inf)
 
 
-def render_true_depth(world: World, camera: CameraModel, *,
-                      march_step: float | None = None,
-                      max_range: float = 100.0) -> DepthFrame:
+def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
     """Noise-free depth + intensity render of the world from the camera."""
     cam_z = float(camera.position[2])
     local = world.height_at(camera.position[0], camera.position[1])
@@ -433,7 +432,7 @@ def render_true_depth(world: World, camera: CameraModel, *,
         t_box = np.where(closer, t, t_box)
         box_shade = np.where(closer, 0.85, box_shade)
 
-    step = march_step if march_step is not None else world.resolution * 0.5
+    step = world.resolution * 0.5
     dz = dirs[..., 2]
     hmax = float(world.heights.max())
     hmin = float(world.heights.min())
@@ -441,7 +440,7 @@ def render_true_depth(world: World, camera: CameraModel, *,
     inv_rate = np.where(descending, -dz, 1.0)
     t_lo = np.where(descending, np.maximum((cam_z - hmax) / inv_rate - step, 1e-6), 0.0)
     t_hi = np.where(descending, (cam_z - hmin) / inv_rate + step, 0.0)
-    t_hi = np.minimum(t_hi, max_range)
+    t_hi = np.minimum(t_hi, _MAX_RANGE)
 
     t_terrain = np.full((h, w), np.inf)
     span = np.maximum(np.where(descending, t_hi - t_lo, 0.0), 0.0)
@@ -486,7 +485,7 @@ def render_true_depth(world: World, camera: CameraModel, *,
             t_terrain[iy, ix] = t_star
 
     depth = np.minimum(t_terrain, t_box)
-    valid = np.isfinite(depth) & (depth > 0.0) & (depth <= max_range)
+    valid = np.isfinite(depth) & (depth > 0.0) & (depth <= _MAX_RANGE)
 
     safe_depth = np.where(valid, depth, 1.0)
     hit_x = origin[0] + safe_depth * dirs[..., 0]

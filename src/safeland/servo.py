@@ -15,10 +15,11 @@ motion of the surviving points. Servoing on the anchor keeps the error
 signal continuous when individual points drop out or new ones are
 detected.
 
-The control law maps the normalized image error through the pseudoinverse
-of the point interaction matrix. The emitted command's lateral components
-live in camera axes (image right / image down); the vertical component
-is up-positive, so descent is a negative ``vz``.
+The control law maps the normalized image error of the anchor through the
+pseudoinverse of the point interaction matrix; its gain, speed limits
+and descent gate are read from ``Params``. The emitted command's lateral
+components live in camera axes (image right / image down); the vertical
+component is up-positive, so descent is a negative ``vz``.
 """
 from __future__ import annotations
 
@@ -33,13 +34,16 @@ from .params import Params
 from .scene import CameraModel
 
 _MIN_CORNER_SCORE = 1e-5  # variance threshold; constant patches score zero
+_SCORE_WIN = 5            # px, window of the corner variance score
+_NMS_RADIUS = 3           # px, corner non-maximum suppression half-window
+_REFINE_ITERS = 3         # Gauss-Newton steps of the sub-pixel refinement
 
 
 @dataclass
 class FeatureSet:
     points: np.ndarray      # (N, 2) float64 pixel positions (u, v)
     patches: np.ndarray     # (N, P, P) templates sampled at detection/refresh
-    anchor_px: np.ndarray   # (2,) propagated initial-centroid position
+    anchor_px: np.ndarray   # (2,) propagated image position of the servo target
     ref_z: float            # depth at which the templates were sampled
 
     @property
@@ -47,14 +51,14 @@ class FeatureSet:
         return int(self.points.shape[0])
 
 
-def _variance_score(intensity: np.ndarray, win: int = 5) -> np.ndarray:
-    mean = ndimage.uniform_filter(intensity, size=win, mode="nearest")
-    mean_sq = ndimage.uniform_filter(intensity * intensity, size=win, mode="nearest")
+def _variance_score(intensity: np.ndarray) -> np.ndarray:
+    mean = ndimage.uniform_filter(intensity, size=_SCORE_WIN, mode="nearest")
+    mean_sq = ndimage.uniform_filter(intensity * intensity, size=_SCORE_WIN, mode="nearest")
     return np.clip(mean_sq - mean * mean, 0.0, None)
 
 
 def detect_features(intensity: np.ndarray, allowed: np.ndarray, *,
-                    n_max: int, patch_radius: int, nms_radius: int = 3,
+                    n_max: int, patch_radius: int,
                     margin: int | None = None) -> np.ndarray:
     """Top corner candidates as an (N, 2) integer (u, v) array."""
     h, w = intensity.shape
@@ -65,7 +69,7 @@ def detect_features(intensity: np.ndarray, allowed: np.ndarray, *,
     ok[-edge:, :] = False
     ok[:, :edge] = False
     ok[:, -edge:] = False
-    local_max = ndimage.maximum_filter(score, size=2 * nms_radius + 1,
+    local_max = ndimage.maximum_filter(score, size=2 * _NMS_RADIUS + 1,
                                        mode="nearest") == score
     cand = ok & local_max & (score > _MIN_CORNER_SCORE)
     vs, us = np.nonzero(cand)
@@ -121,10 +125,10 @@ def _sample_patch_bilinear(intensity: np.ndarray, u: float, v: float,
 
 
 def _subpixel_refine(intensity: np.ndarray, template: np.ndarray, u: float,
-                     v: float, patch_radius: int, iters: int = 3) -> tuple[float, float]:
+                     v: float, patch_radius: int) -> tuple[float, float]:
     """Gradient-based sub-pixel alignment of the patch onto the template."""
     uu, vv = u, v
-    for _ in range(iters):
+    for _ in range(_REFINE_ITERS):
         patch = _sample_patch_bilinear(intensity, uu, vv, patch_radius)
         if patch is None:
             break
@@ -214,16 +218,29 @@ def _similarity_step(prev_pts: np.ndarray, new_pts: np.ndarray,
     return k * (anchor - p_bar) + q_bar
 
 
+def _resample(intensity: np.ndarray, points: np.ndarray,
+              patch_radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Snap points to whole pixels and sample fresh templates there.
+
+    Points whose template would leave the image are dropped.
+    """
+    h, w = intensity.shape
+    pr = patch_radius
+    inb = ((points[:, 0] >= pr) & (points[:, 0] <= w - 1 - pr)
+           & (points[:, 1] >= pr) & (points[:, 1] <= h - 1 - pr))
+    points = np.round(points[inb])
+    return points, _sample_patches(intensity, points, pr)
+
+
 def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
                      previous: FeatureSet | None, params: Params, *,
-                     z_now: float = math.nan,
-                     redetect_center_px: np.ndarray | None = None) -> FeatureSet:
+                     z_now: float = math.nan) -> FeatureSet:
     """Initialize or advance the tracked feature set on a new intensity image.
 
     A returned set with ``n_t == 0`` is the tracking-lost signal. On
     initialization, detection is restricted to ``region_mask``; on later
     frames the mask bounds re-detection, which triggers whenever the
-    population falls under ``n_min``.
+    population falls under ``n_min`` and searches a disk around the anchor.
     """
     pr = params.patch_radius
     margin = pr + 3
@@ -271,19 +288,14 @@ def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
     # the anchor on the next frame
     if new_pts.shape[0] and math.isfinite(z_now) and math.isfinite(ref_z) \
             and ref_z > 0.0 and abs(z_now / ref_z - 1.0) > params.retemplate_ratio:
-        inb = ((new_pts[:, 0] >= pr) & (new_pts[:, 0] <= intensity.shape[1] - 1 - pr)
-               & (new_pts[:, 1] >= pr) & (new_pts[:, 1] <= intensity.shape[0] - 1 - pr))
-        new_pts = np.round(new_pts[inb])
-        patches = _sample_patches(intensity, new_pts, pr)
+        new_pts, patches = _resample(intensity, new_pts, pr)
         ref_z = z_now
 
     if new_pts.shape[0] < params.n_min:
-        center = redetect_center_px if redetect_center_px is not None else anchor
-        h, w = intensity.shape
-        vs = np.arange(h)[:, None]
-        us = np.arange(w)[None, :]
+        vs = np.arange(h_img)[:, None]
+        us = np.arange(w_img)[None, :]
         radius = max(2 * params.commit_window_px, 2 * params.search_radius)
-        disk = (us - center[0]) ** 2 + (vs - center[1]) ** 2 <= radius ** 2
+        disk = (us - anchor[0]) ** 2 + (vs - anchor[1]) ** 2 <= radius ** 2
         allowed = disk & region_mask
         fresh = detect_features(intensity, allowed, n_max=params.n_max,
                                 patch_radius=pr, margin=margin).astype(float)
@@ -295,14 +307,7 @@ def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
                 fresh = fresh[: params.n_max - new_pts.shape[0]]
                 # the whole set must share one template capture depth:
                 # survivors are snapped and resampled alongside the new points
-                if new_pts.shape[0]:
-                    inb = ((new_pts[:, 0] >= pr) & (new_pts[:, 0] <= w - 1 - pr)
-                           & (new_pts[:, 1] >= pr) & (new_pts[:, 1] <= h - 1 - pr))
-                    new_pts = np.round(new_pts[inb])
-                    new_pts = np.vstack([new_pts, fresh]) if new_pts.shape[0] else fresh
-                else:
-                    new_pts = fresh
-                patches = _sample_patches(intensity, new_pts, pr)
+                new_pts, patches = _resample(intensity, np.vstack([new_pts, fresh]), pr)
                 if math.isfinite(z_now):
                     ref_z = z_now
 
@@ -310,17 +315,8 @@ def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
 
 
 # --------------------------------------------------------------------------
-# centroid feature and control law
+# control law
 # --------------------------------------------------------------------------
-
-def centroid(features: FeatureSet, camera: CameraModel) -> tuple[float, float]:
-    """Mean feature position in normalized image coordinates."""
-    if features.n_t == 0:
-        raise ValueError("centroid of an empty feature set")
-    mean_px = features.points.mean(axis=0)
-    xn, yn = camera.normalized(mean_px[0], mean_px[1])
-    return float(xn), float(yn)
-
 
 def anchor_normalized(features: FeatureSet, camera: CameraModel) -> np.ndarray:
     xn, yn = camera.normalized(features.anchor_px[0], features.anchor_px[1])
@@ -352,46 +348,30 @@ class VelocityCommand:
     def lateral_norm(self) -> float:
         return math.hypot(self.vx, self.vy)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.vx, self.vy, self.vz])
-
 
 HOVER = VelocityCommand(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class ServoState:
-    centroid: tuple[float, float]          # normalized image coordinates
-    z: float                               # m, mean region depth
-    gain: float
-    v_xy_max: float
-    v_z_max: float
-    e_align: float
-    v_des: float
-    target: tuple[float, float] = (0.0, 0.0)
+def control(s, z: float, params: Params) -> VelocityCommand:
+    """Saturated velocity command with gated descent; hovers on bad input.
 
-    @property
-    def error(self) -> np.ndarray:
-        return np.array([self.centroid[0] - self.target[0],
-                         self.centroid[1] - self.target[1]])
-
-
-def control(state: ServoState) -> VelocityCommand:
-    """Saturated velocity command with gated descent; hovers on bad input."""
-    e = state.error
-    if not (np.all(np.isfinite(e)) and np.isfinite(state.z) and state.z > 0.0):
+    ``s`` is the anchor in normalized image coordinates and ``z`` the
+    region depth. The target is the principal point, so the error is ``s``.
+    """
+    e = np.array([float(s[0]), float(s[1])])
+    if not (np.all(np.isfinite(e)) and np.isfinite(z) and z > 0.0):
         return HOVER
-    v_raw = ibvs_velocity(state.centroid, state.z, e, state.gain)
+    v_raw = ibvs_velocity(e, z, e, params.lam)
     if not np.all(np.isfinite(v_raw)):
         return HOVER
     vz = -float(v_raw[2])  # optical-axis forward -> up-positive
-    if float(np.hypot(e[0], e[1])) < state.e_align:
-        vz = -state.v_des
+    if float(np.hypot(e[0], e[1])) < params.e_align:
+        vz = -params.v_des
     vx, vy = float(v_raw[0]), float(v_raw[1])
     lat = math.hypot(vx, vy)
-    if lat > state.v_xy_max:
-        scale = state.v_xy_max / lat
+    if lat > params.v_xy_max:
+        scale = params.v_xy_max / lat
         vx *= scale
         vy *= scale
-    vz = float(np.clip(vz, -state.v_z_max, state.v_z_max))
+    vz = float(np.clip(vz, -params.v_z_max, params.v_z_max))
     return VelocityCommand(vx=vx, vy=vy, vz=vz)

@@ -5,7 +5,10 @@ phase flies a lawnmower pattern at constant altitude while beliefs
 accumulate; once a feasible track crosses the commit threshold the
 selector is never re-entered and the terminal phase servos the vehicle
 over the committed center and descends. Tracking loss beyond the grace
-window aborts to hover.
+window aborts to hover. Both phases take each frame from one sense step
+(render, then corrupt, stamped with the frame index) and read every
+setting from ``Params``. Touchdown is tested against the surface under
+the vehicle, box tops included.
 
 Vehicle motion is kinematic: a first-order velocity response with time
 constant ``t_v`` followed by Euler position integration. Commands from
@@ -15,7 +18,6 @@ component; the fixed yaw rotates them into the world frame.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -86,15 +88,19 @@ def step_vehicle(state: VehicleState, cmd: srv.VelocityCommand, dt: float,
     return step_vehicle_world(state, command_to_world(cmd, camera), dt, t_v)
 
 
+_SCAN_MARGIN = 1.0     # m, scan rows keep this far inside the extent
+_SCAN_OVERLAP = 0.5    # fraction of the camera swath shared by adjacent rows
+_WAYPOINT_REACH = 0.2  # m, distance at which a waypoint counts as reached
+
+
 def lawnmower_waypoints(extent: tuple[float, float], altitude: float,
-                        focal: float, width_px: int, margin: float = 1.0,
-                        overlap: float = 0.5) -> list[tuple[float, float]]:
+                        focal: float, width_px: int) -> list[tuple[float, float]]:
     """Serpentine scan rows covering the extent at the given view overlap."""
     lx, ly = extent
-    swath = max((width_px / focal) * altitude * (1.0 - overlap), 0.5)
-    x0, x1 = min(margin, lx / 2), max(lx - margin, lx / 2)
-    y = min(margin, ly / 2)
-    y_end = max(ly - margin, ly / 2)
+    swath = max((width_px / focal) * altitude * (1.0 - _SCAN_OVERLAP), 0.5)
+    x0, x1 = min(_SCAN_MARGIN, lx / 2), max(lx - _SCAN_MARGIN, lx / 2)
+    y = min(_SCAN_MARGIN, ly / 2)
+    y_end = max(ly - _SCAN_MARGIN, ly / 2)
     pts: list[tuple[float, float]] = []
     left = True
     while True:
@@ -110,11 +116,9 @@ def lawnmower_waypoints(extent: tuple[float, float], altitude: float,
 class _ScanGuidance:
     """Waypoint follower producing world-frame velocity setpoints."""
 
-    def __init__(self, waypoints: list[tuple[float, float]], speed: float,
-                 reach: float = 0.2):
+    def __init__(self, waypoints: list[tuple[float, float]], speed: float):
         self.waypoints = waypoints
         self.speed = speed
-        self.reach = reach
         self.index = 0
 
     def setpoint(self, position: np.ndarray) -> np.ndarray:
@@ -123,7 +127,7 @@ class _ScanGuidance:
         target = np.asarray(self.waypoints[self.index])
         delta = target - position[:2]
         dist = float(np.hypot(delta[0], delta[1]))
-        while dist < self.reach:
+        while dist < _WAYPOINT_REACH:
             self.index = (self.index + 1) % len(self.waypoints)
             target = np.asarray(self.waypoints[self.index])
             delta = target - position[:2]
@@ -149,49 +153,70 @@ def _fmt(value: float | int | str | None) -> str:
     return str(value)
 
 
+def _sense(scenario: Scenario, world: World, state: VehicleState,
+           rng: np.random.Generator, t: int) -> DepthFrame:
+    """The noisy depth frame seen from the vehicle's pose at frame ``t``."""
+    camera = make_camera(scenario, state.position, state.yaw)
+    frame = dataclasses.replace(render_true_depth(world, camera), t=t)
+    return corrupt(frame, scenario.noise, rng)
+
+
 def run_episode(scenario: Scenario, params: Params, seed: int,
                 observer: Observer | None = None) -> EpisodeResult:
     validate(params)
     world = build_world(scenario)
     rng = np.random.default_rng(seed)
-    dt = 1.0 / params.f_s
-
     start_xy = scenario.start if scenario.start is not None else (
         scenario.extent[0] / 2.0, scenario.extent[1] / 2.0)
     state = VehicleState(
         position=np.array([start_xy[0], start_xy[1], scenario.altitude]),
         velocity=np.zeros(3), yaw=0.0)
+    result = EpisodeResult(outcome="timeout", seed=seed, frames_total=0)
 
+    commit = _scan(scenario, params, world, rng, state, result, observer)
+    if commit is not None:
+        _execute(scenario, params, world, rng, *commit, result, observer)
+    return result
+
+
+def _feasibility(tracks: list[bel.RegionTrack], rho_min: float):
+    """Inscribed radius of every track, with the world point of its center."""
+    feasibility: dict[int, sel.FeasibilityResult] = {}
+    centers: dict[int, np.ndarray] = {}
+    for track in tracks:
+        gsd = track.mask.mean_depth / track.mask.camera.focal_length
+        feas, center_px = sel.inscribed_radius(track.mask.pixels, gsd, rho_min)
+        feasibility[track.id] = feas
+        if center_px is not None:
+            centers[track.id] = track.mask.camera.backproject(
+                center_px[0], center_px[1], track.mask.mean_depth)
+    return feasibility, centers
+
+
+def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Generator,
+          state: VehicleState, result: EpisodeResult, observer: Observer | None):
+    """Fly the lawnmower pattern until a commit or ``f_max`` frames.
+
+    Returns (state, committed mask, world point of its center), or None on
+    timeout.
+    """
+    dt = 1.0 / params.f_s
     guidance = _ScanGuidance(
         lawnmower_waypoints(scenario.extent, scenario.altitude,
                             scenario.camera_focal, scenario.camera_width),
         speed=params.v_xy_max)
-
-    model = bel.LikelihoodModel.from_params(params)
-    persistence = bel.PersistenceModel(alpha=params.alpha)
     tracks: list[bel.RegionTrack] = []
     next_id = 0
-
-    result = EpisodeResult(outcome="timeout", seed=seed, frames_total=0)
-    decision: sel.LandingDecision | None = None
-    commit_mask: per.RegionMask | None = None
-    commit_center_px: tuple[int, int] | None = None
-
-    # ---------------- scan phase ----------------
-    t = 0
     for t in range(params.f_max):
-        camera = make_camera(scenario, state.position, state.yaw)
-        frame = dataclasses.replace(render_true_depth(world, camera), t=t)
-        frame = corrupt(frame, scenario.noise, rng)
-
+        result.frames_total = t + 1
+        frame = _sense(scenario, world, state, rng, t)
         screen = per.screen_frame(frame, params)
         regions = per.extract_regions(frame, params, screen=screen)
-        assoc = bel.associate(tracks, regions, frame_index=t, b0=params.b0,
-                              next_id=next_id, iou_min=params.iou_min,
-                              grace=params.track_grace)
+        assoc = bel.associate(tracks, regions, b0=params.b0, next_id=next_id,
+                              iou_min=params.iou_min, grace=params.track_grace)
         tracks, next_id = assoc.tracks, assoc.next_id
 
-        gravity = per.gravity_in_camera(camera)
+        gravity = per.gravity_in_camera(frame.camera)
         matched_cues: dict[int, per.CueVector] = {}
         for track, region in assoc.matches:
             fit = per.fit_plane(frame, region)
@@ -199,29 +224,16 @@ def run_episode(scenario: Scenario, params: Params, seed: int,
                 continue
             matched_cues[track.id] = per.compute_cues(
                 frame, region, fit, gravity, screen.obstacle_mask, params)
-        bel.step(tracks, matched_cues, model, persistence, t)
+        bel.step(tracks, matched_cues, params)
 
-        feasibility: dict[int, sel.FeasibilityResult] = {}
-        centers_px: dict[int, tuple[int, int]] = {}
-        centers_ground: dict[int, tuple[float, float]] = {}
-        for track in tracks:
-            gsd = track.mask.mean_depth / track.mask.camera.focal_length
-            feas, center_px = sel.inscribed_radius(track.mask.pixels, gsd, params.rho_min)
-            feasibility[track.id] = feas
-            if center_px is not None:
-                centers_px[track.id] = center_px
-                center_w = track.mask.camera.backproject(
-                    center_px[0], center_px[1], track.mask.mean_depth)
-                centers_ground[track.id] = (float(center_w[0]), float(center_w[1]))
-
+        feasibility, centers = _feasibility(tracks, params.rho_min)
+        centers_ground = {tid: (float(c[0]), float(c[1])) for tid, c in centers.items()}
         infeasible_beliefs = [tr.belief for tr in tracks
                               if not feasibility[tr.id].feasible]
         if infeasible_beliefs:
             result.peak_infeasible_belief = max(result.peak_infeasible_belief,
                                                 max(infeasible_beliefs))
-
-        decision = sel.select(tracks, feasibility, centers_ground,
-                              params.tau, t)
+        decision = sel.select(tracks, feasibility, centers_ground, params.tau, t)
 
         _record_tracks(result, t, tracks, matched_cues)
         setpoint = guidance.setpoint(state.position)
@@ -242,63 +254,41 @@ def run_episode(scenario: Scenario, params: Params, seed: int,
             result.commit_rho = decision.rho
             result.infeasible_belief_at_commit = (
                 max(infeasible_beliefs) if infeasible_beliefs else None)
-            committed = next(tr for tr in tracks if tr.id == decision.track_id)
-            commit_mask = committed.mask
-            commit_center_px = centers_px[decision.track_id]
+            commit_mask = next(tr for tr in tracks if tr.id == decision.track_id).mask
             if observer is not None:
                 observer("commit", {"t": t, "decision": decision,
                                     "frame": frame, "mask": commit_mask})
-            break
+            return state, commit_mask, centers[decision.track_id]
 
         state = step_vehicle_world(state, setpoint, dt, params.t_v)
-
-    result.frames_total = t + 1
-    if decision is None or commit_mask is None or commit_center_px is None:
-        result.outcome = "timeout"
-        return result
-
-    # ---------------- execution phase ----------------
-    outcome, err, frames = _run_execution(
-        scenario, params, world, rng, state, decision, commit_mask,
-        commit_center_px, result, observer, start_t=result.frames_total)
-    result.outcome = outcome
-    result.touchdown_error = err
-    result.frames_total += frames
-    return result
+    return None
 
 
-def _run_execution(scenario: Scenario, params: Params, world: World,
-                   rng: np.random.Generator, state: VehicleState,
-                   decision: sel.LandingDecision, commit_mask: per.RegionMask,
-                   commit_center_px: tuple[int, int], result: EpisodeResult,
-                   observer: Observer | None,
-                   start_t: int) -> tuple[str, float | None, int]:
+def _execute(scenario: Scenario, params: Params, world: World,
+             rng: np.random.Generator, state: VehicleState,
+             commit_mask: per.RegionMask, c_world: np.ndarray, result: EpisodeResult,
+             observer: Observer | None) -> None:
+    """Servo over the committed center and descend until touchdown, abort or timeout."""
     dt = 1.0 / params.f_s
-    commit_cam = commit_mask.camera
-    c_world = np.asarray(decision.center_ground, dtype=float)
+    start_t = result.frames_total
 
     # detect the feature cloud around the committed center; the anchor point
     # tracks the center's image position through the cloud's common motion
-    first_cam = make_camera(scenario, state.position, state.yaw)
-    frame = dataclasses.replace(render_true_depth(world, first_cam), t=start_t)
-    frame = corrupt(frame, scenario.noise, rng)
-    c_px = _project_px(first_cam, np.array([c_world[0], c_world[1],
-                                            _center_height(commit_cam, commit_center_px,
-                                                           commit_mask)]))
-    features, _, z0 = _init_features(frame, c_px, commit_mask, params)
-    if features is None:
-        return "aborted", None, 1
-    features.anchor_px = np.asarray(c_px, dtype=float)
+    frame = _sense(scenario, world, state, rng, start_t)
+    c_px = _project_px(frame.camera, c_world)
+    fs, z_t = _init_features(frame, c_px, commit_mask, params)
+    if fs is None:
+        result.outcome = "aborted"
+        result.frames_total += 1
+        return
+    fs.anchor_px = np.asarray(c_px, dtype=float)
 
-    fs = features
-    z_t = z0
     lost = 0
     for k in range(params.f_max_exec):
         t = start_t + k
-        if k > 0:
-            camera = make_camera(scenario, state.position, state.yaw)
-            frame = dataclasses.replace(render_true_depth(world, camera), t=t)
-            frame = corrupt(frame, scenario.noise, rng)
+        result.frames_total = t + 1
+        if k > 0:  # frame 0 is the one the features were detected on
+            frame = _sense(scenario, world, state, rng, t)
         camera = frame.camera
 
         sel_pixels = commit_mask.pixels & frame.valid
@@ -316,12 +306,7 @@ def _run_execution(scenario: Scenario, params: Params, world: World,
         else:
             lost = 0
             s_virtual = srv.anchor_normalized(fs, camera)
-            servo_state = srv.ServoState(
-                centroid=(float(s_virtual[0]), float(s_virtual[1])), z=z_t,
-                gain=params.lam, v_xy_max=params.v_xy_max,
-                v_z_max=params.v_z_max, e_align=params.e_align,
-                v_des=params.v_des)
-            cmd = srv.control(servo_state)
+            cmd = srv.control(s_virtual, z_t, params)
 
         _record_frame(result, t, "exec", state, servo_cmd=cmd, fs=fs,
                       s_virtual=s_virtual, depth_z=z_t)
@@ -330,22 +315,17 @@ def _run_execution(scenario: Scenario, params: Params, world: World,
                                     "cmd": cmd, "s": s_virtual, "z": z_t})
 
         if lost > params.track_grace:
-            return "aborted", None, k + 1
+            result.outcome = "aborted"
+            return
 
-        state_next = step_vehicle(state, cmd, dt, params.t_v, camera)
-        terrain = float(world.height_at(state_next.position[0], state_next.position[1]))
-        if state_next.position[2] - terrain < params.h_td:
-            err = float(np.hypot(state_next.position[0] - c_world[0],
-                                 state_next.position[1] - c_world[1]))
-            return "landed", err, k + 1
-        state = state_next
-    return "timeout", None, params.f_max_exec
-
-
-def _center_height(camera: CameraModel, center_px: tuple[int, int],
-                   mask: per.RegionMask) -> float:
-    point = camera.backproject(center_px[0], center_px[1], mask.mean_depth)
-    return float(point[2])
+        state = step_vehicle(state, cmd, dt, params.t_v, camera)
+        surface = world.surface_height_at(state.position[0], state.position[1])
+        if state.position[2] - surface < params.h_td:
+            result.outcome = "landed"
+            result.touchdown_error = float(np.hypot(state.position[0] - c_world[0],
+                                                    state.position[1] - c_world[1]))
+            return
+    result.outcome = "timeout"
 
 
 def _project_px(camera: CameraModel, point_world: np.ndarray) -> np.ndarray:
@@ -361,9 +341,8 @@ def _init_features(frame: DepthFrame, c_px: np.ndarray, commit_mask: per.RegionM
                    params: Params):
     """Detect the initial feature cloud near the committed center.
 
-    Returns (FeatureSet, feature-centroid world point, initial depth) or
-    (None, None, None) when no salient points exist even in a widened
-    window.
+    Returns (FeatureSet, initial depth), or (None, None) when no salient
+    points exist even in a widened window.
     """
     h, w = frame.intensity.shape
     vs = np.arange(h)[:, None]
@@ -378,24 +357,21 @@ def _init_features(frame: DepthFrame, c_px: np.ndarray, commit_mask: per.RegionM
             else commit_mask.mean_depth
         fs = srv.detect_and_track(frame.intensity, allowed, None, params, z_now=z0)
         if fs.n_t > 0:
-            mean_px = fs.points.mean(axis=0)
-            p_world = frame.camera.backproject(mean_px[0], mean_px[1], z0)
-            return fs, p_world, z0
-    return None, None, None
+            return fs, z0
+    return None, None
 
 
 def _record_tracks(result: EpisodeResult, t: int, tracks: list[bel.RegionTrack],
                    matched_cues: dict[int, per.CueVector]) -> None:
     for track in tracks:
         cues = matched_cues.get(track.id)
-        hist = track.history[-1] if track.history else (t, math.nan, math.nan, track.belief)
+        l1, l0 = track.likelihoods if track.likelihoods is not None else (None, None)
         row = {
             "t": t, "id": track.id,
             "f": cues.flatness if cues else None,
             "s": cues.slope if cues else None,
             "o": cues.obstacle if cues else None,
-            "l1": None if math.isnan(hist[1]) else hist[1],
-            "l0": None if math.isnan(hist[2]) else hist[2],
+            "l1": l1, "l0": l0,
             "b": track.belief,
         }
         result.track_rows.append(row)

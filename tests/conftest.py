@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,14 @@ from safeland.scene import (DepthFrame, Scenario, build_world, nadir_camera,
                             render_true_depth)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def output_digest(out_dir: Path) -> str:
+    """SHA-256 over the top-level files of a run's output, concatenated in name order."""
+    digest = hashlib.sha256()
+    for path in sorted((p for p in out_dir.iterdir() if p.is_file()), key=lambda p: p.name):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="session")

@@ -5,53 +5,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safeland.belief import (LikelihoodModel,
-                             PersistenceModel, RegionTrack, associate,
+from safeland.belief import (RegionTrack, associate, cue_likelihood,
                              footprint_iou, likelihood_safe, likelihood_unsafe,
                              predict, step, update)
+from safeland.params import Params, validate
 from safeland.perception import CueVector, RegionMask
 
 import oracles
 
 
-def model(**kw) -> LikelihoodModel:
-    return LikelihoodModel(**kw)
-
-
 def cues_for_l(l_f=1.0, l_s=1.0, l_o=1.0, m=None):
     """Cue vector whose per-cue likelihoods equal the requested values."""
-    m = m or model()
-    return CueVector(flatness=-m.sigma_f * math.log(l_f),
+    m = m or Params()
+    return CueVector(flatness=-m.sigma_f_cue * math.log(l_f),
                      slope=-m.sigma_s * math.log(l_s),
                      obstacle=-m.sigma_o * math.log(l_o))
 
 
 class TestLikelihoods:
     def test_perfect_cues_give_unit_safe_likelihood(self):
-        assert likelihood_safe(CueVector(0.0, 0.0, 0.0), model()) == 1.0
+        assert likelihood_safe(CueVector(0.0, 0.0, 0.0), Params()) == 1.0
 
     def test_single_weighted_factor(self):
-        m = model()
+        m = Params()
         cues = cues_for_l(l_f=0.5, m=m)
         assert likelihood_safe(cues, m) == pytest.approx(0.5 ** 0.4, abs=1e-12)
 
     def test_zero_weights_give_unit_likelihoods(self):
-        m = model(w_f=0.0, w_s=0.0, w_o=0.0)
+        m = Params(w_f=0.0, w_s=0.0, w_o=0.0)
         cues = CueVector(flatness=3.0, slope=1.0, obstacle=0.9)
         assert likelihood_safe(cues, m) == 1.0
         assert likelihood_unsafe(cues, m) == 1.0
 
     def test_perfect_cues_floor_the_unsafe_likelihood(self):
-        assert likelihood_unsafe(CueVector(0.0, 0.0, 0.0), model()) == 0.05
+        assert likelihood_unsafe(CueVector(0.0, 0.0, 0.0), Params()) == 0.05
 
     def test_partial_complement_still_floored_by_zero_factors(self):
         # one informative factor, two zero factors: the product floors
-        m = model()
+        m = Params()
         cues = cues_for_l(l_f=0.5, m=m)
         assert likelihood_unsafe(cues, m) == 0.05
 
     def test_symmetry_point_at_half(self):
-        m = model()
+        m = Params()
         cues = cues_for_l(0.5, 0.5, 0.5, m=m)
         l1 = likelihood_safe(cues, m)
         l0 = likelihood_unsafe(cues, m)
@@ -59,7 +55,7 @@ class TestLikelihoods:
         assert l0 == pytest.approx(0.5, abs=1e-12)
 
     def test_outputs_always_within_floor_and_one(self):
-        m = model()
+        m = Params()
         rng = np.random.default_rng(0)
         for _ in range(200):
             cues = CueVector(flatness=float(rng.uniform(0, 10)),
@@ -70,11 +66,11 @@ class TestLikelihoods:
                 assert m.eps_l <= val <= 1.0
 
     def test_cue_mappings_monotone_non_increasing_with_unit_start(self):
-        m = model()
-        for fn in (m.l_f, m.l_s, m.l_o):
-            assert fn(0.0) == 1.0
+        m = Params()
+        for sigma in (m.sigma_f_cue, m.sigma_s, m.sigma_o):
+            assert cue_likelihood(0.0, sigma, m.eps_l) == 1.0
             xs = np.linspace(0.0, 5.0, 50)
-            vals = [fn(float(x)) for x in xs]
+            vals = [cue_likelihood(float(x), sigma, m.eps_l) for x in xs]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
             assert min(vals) >= m.eps_l
 
@@ -152,9 +148,9 @@ class TestRecursion:
 
     def test_persistence_model_domain(self):
         with pytest.raises(ValueError):
-            PersistenceModel(alpha=0.5)
+            validate(Params(alpha=0.5))
         with pytest.raises(ValueError):
-            PersistenceModel(alpha=1.0)
+            validate(Params(alpha=1.0))
 
 
 def region_with_cells(cells: np.ndarray, camera=None) -> RegionMask:
@@ -176,10 +172,8 @@ class TestAssociation:
     def test_identical_footprints_match_with_unit_iou(self):
         cells = square_cells(0.0, 0.0, 1.0)
         assert footprint_iou(cells, cells) == 1.0
-        track = RegionTrack(id=0, mask=region_with_cells(cells), belief=0.7,
-                            last_seen=0)
-        result = associate([track], [region_with_cells(cells)], frame_index=1,
-                           b0=0.5, next_id=1)
+        track = RegionTrack(id=0, mask=region_with_cells(cells), belief=0.7)
+        result = associate([track], [region_with_cells(cells)], b0=0.5, next_id=1)
         assert len(result.matches) == 1
         assert result.matches[0][0].id == 0
 
@@ -187,10 +181,8 @@ class TestAssociation:
         a = square_cells(0.0, 0.0, 1.0)
         b = square_cells(5.0, 5.0, 1.0)
         assert footprint_iou(a, b) == 0.0
-        track = RegionTrack(id=0, mask=region_with_cells(a), belief=0.7,
-                            last_seen=0)
-        result = associate([track], [region_with_cells(b)], frame_index=1,
-                           b0=0.5, next_id=1)
+        track = RegionTrack(id=0, mask=region_with_cells(a), belief=0.7)
+        result = associate([track], [region_with_cells(b)], b0=0.5, next_id=1)
         matched_ids = [t.id for t, _ in result.matches]
         assert 0 not in matched_ids          # old track went unmatched
         assert len(result.tracks) == 2       # survivor + spawned track
@@ -199,16 +191,13 @@ class TestAssociation:
         a = square_cells(0.0, 0.0, 1.0)
         b = square_cells(0.5, 0.0, 1.0)
         assert footprint_iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
-        track = RegionTrack(id=0, mask=region_with_cells(a), belief=0.7,
-                            last_seen=0)
-        result = associate([track], [region_with_cells(b)], frame_index=1,
-                           b0=0.5, next_id=1)
+        track = RegionTrack(id=0, mask=region_with_cells(a), belief=0.7)
+        result = associate([track], [region_with_cells(b)], b0=0.5, next_id=1)
         assert [t.id for t, _ in result.matches] == [0]
 
     def test_new_regions_spawn_tracks_at_initial_belief(self):
         cells = square_cells(0.0, 0.0, 1.0)
-        result = associate([], [region_with_cells(cells)], frame_index=3,
-                           b0=0.5, next_id=7)
+        result = associate([], [region_with_cells(cells)], b0=0.5, next_id=7)
         assert len(result.tracks) == 1
         assert result.tracks[0].id == 7
         assert result.tracks[0].belief == 0.5
@@ -216,26 +205,22 @@ class TestAssociation:
 
     def test_unmatched_track_retires_after_grace(self):
         cells = square_cells(0.0, 0.0, 1.0)
-        track = RegionTrack(id=0, mask=region_with_cells(cells), belief=0.8,
-                            last_seen=0)
+        track = RegionTrack(id=0, mask=region_with_cells(cells), belief=0.8)
         tracks = [track]
-        for frame in range(1, 6):
-            result = associate(tracks, [], frame_index=frame, b0=0.5,
-                               next_id=1, grace=5)
+        for _ in range(5):
+            result = associate(tracks, [], b0=0.5, next_id=1, grace=5)
             tracks = result.tracks
             assert len(tracks) == 1
-        result = associate(tracks, [], frame_index=6, b0=0.5, next_id=1, grace=5)
+        result = associate(tracks, [], b0=0.5, next_id=1, grace=5)
         assert result.tracks == []
 
     def test_greedy_prefers_highest_iou(self):
         a = square_cells(0.0, 0.0, 1.0)
         shifted_small = square_cells(0.6, 0.0, 1.0)   # IoU ~ 0.25 with a
         near = square_cells(0.1, 0.0, 1.0)            # IoU ~ 0.8 with a
-        track = RegionTrack(id=0, mask=region_with_cells(a), belief=0.8,
-                            last_seen=0)
+        track = RegionTrack(id=0, mask=region_with_cells(a), belief=0.8)
         result = associate([track], [region_with_cells(shifted_small),
-                                     region_with_cells(near)],
-                           frame_index=1, b0=0.5, next_id=1)
+                                     region_with_cells(near)], b0=0.5, next_id=1)
         matched_region = next(r for t, r in result.matches if t.id == 0)
         assert np.array_equal(matched_region.ground_footprint, near)
 
@@ -243,20 +228,15 @@ class TestAssociation:
 class TestStep:
     def test_first_update_with_perfect_cues(self):
         cells = square_cells(0.0, 0.0, 1.0)
-        track = RegionTrack(id=0, mask=region_with_cells(cells), belief=0.5,
-                            last_seen=0)
-        m = model()
-        step([track], {0: CueVector(0.0, 0.0, 0.0)}, m,
-             PersistenceModel(0.95), frame_index=0)
+        track = RegionTrack(id=0, mask=region_with_cells(cells), belief=0.5)
+        step([track], {0: CueVector(0.0, 0.0, 0.0)}, Params())
         assert track.belief == pytest.approx(0.5 / (0.5 + 0.5 * 0.05), abs=1e-12)
 
     def test_unmatched_tracks_move_toward_half(self):
         cells = square_cells(0.0, 0.0, 1.0)
-        high = RegionTrack(id=0, mask=region_with_cells(cells), belief=0.9,
-                           last_seen=0)
-        low = RegionTrack(id=1, mask=region_with_cells(cells), belief=0.2,
-                          last_seen=0)
-        step([high, low], {}, model(), PersistenceModel(0.95), frame_index=1)
+        high = RegionTrack(id=0, mask=region_with_cells(cells), belief=0.9)
+        low = RegionTrack(id=1, mask=region_with_cells(cells), belief=0.2)
+        step([high, low], {}, Params())
         assert 0.5 < high.belief < 0.9
         assert 0.2 < low.belief < 0.5
 
@@ -271,12 +251,12 @@ class TestStep:
 
     def test_history_records_likelihoods_and_belief(self):
         cells = square_cells(0.0, 0.0, 1.0)
-        track = RegionTrack(id=0, mask=region_with_cells(cells), belief=0.5,
-                            last_seen=0)
-        step([track], {0: CueVector(0.0, 0.0, 0.0)}, model(),
-             PersistenceModel(0.95), frame_index=4)
-        t, l1, l0, b = track.history[-1]
-        assert t == 4 and l1 == 1.0 and l0 == 0.05 and b == track.belief
+        track = RegionTrack(id=0, mask=region_with_cells(cells), belief=0.5)
+        step([track], {0: CueVector(0.0, 0.0, 0.0)}, Params())
+        assert track.likelihoods == (1.0, 0.05)
+        assert track.belief == pytest.approx(0.5 / (0.5 + 0.5 * 0.05), abs=1e-12)
+        step([track], {}, Params())
+        assert track.likelihoods is None
 
     def test_recursion_deterministic_for_fixed_inputs(self):
         seq = [(0.8, 0.2), (0.3, 0.6), (0.9, 0.1)]

@@ -6,7 +6,14 @@ from safeland.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TIMEOUT, main,
                           parse_overrides, parse_seeds)
 from safeland.params import ConfigError, Params, apply_overrides
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, output_digest
+
+# SHA-256 of the top-level output files (see output_digest) for fixed runs;
+# a refactor that keeps these keeps every emitted byte
+UNDERSIZED_F10_SEEDS_0_1_DIGEST = \
+    "01efd864827f74f82fe2c1779a0383b02389ba25c3e609e60aec0a2544ace43d"
+FLAT_SEED0_CSV_DIGEST = \
+    "a9c7914acf8ad9e260c329c11ddc7dfcd94634af0307ca6000e977015b27efa5"
 
 
 class TestParsing:
@@ -79,6 +86,7 @@ class TestMain:
         assert (tmp_path / "summary.csv").exists()
         maps = list((tmp_path / "maps").glob("*.pgm"))
         assert maps, "map emission requested but no PGM written"
+        assert output_digest(tmp_path) == FLAT_SEED0_CSV_DIGEST
 
     def test_rerun_emits_byte_identical_files(self, tmp_path):
         args = [str(SCENARIO_DIR / "undersized.yaml"), "--set", "f_max=10",
@@ -92,6 +100,7 @@ class TestMain:
         assert files_a == files_b
         for name in files_a:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        assert output_digest(out_a) == UNDERSIZED_F10_SEEDS_0_1_DIGEST
 
     def test_workers_do_not_change_results(self, tmp_path):
         base = [str(SCENARIO_DIR / "undersized.yaml"), "--set", "f_max=8",

@@ -30,6 +30,13 @@ class TestBuildWorld:
         assert np.array_equal(a.heights, b.heights)
         assert np.array_equal(a.texture, b.texture)
 
+    def test_surface_height_includes_box_tops(self):
+        world = build_world(make_flat_scenario(
+            obstacles=(Box(center=(2.0, 2.0), extents=(1.0, 1.0), height=0.5),)))
+        assert world.surface_height_at(2.0, 2.0) == 0.5
+        assert world.surface_height_at(2.5, 2.0) == 0.5   # footprint edge counts
+        assert world.surface_height_at(3.0, 2.0) == 0.0
+
     def test_non_positive_box_extents_rejected(self):
         with pytest.raises(ValueError):
             Box(center=(1.0, 1.0), extents=(0.0, 1.0), height=1.0)

@@ -1,13 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from safeland.params import Params
 from safeland.scene import nadir_camera
-from safeland.servo import (HOVER, FeatureSet, ServoState,
-                            anchor_normalized, centroid, control,
+from safeland.servo import (HOVER, FeatureSet, anchor_normalized, control,
                             detect_and_track, detect_features, ibvs_velocity,
                             interaction_matrix)
 
@@ -77,39 +76,6 @@ class TestTracking:
         assert np.all((pts[:, 1] >= 20) & (pts[:, 1] < 50))
 
 
-class TestCentroid:
-    def _fs(self, points) -> FeatureSet:
-        pts = np.asarray(points, dtype=float)
-        anchor = pts.mean(axis=0) if len(pts) else np.zeros(2)
-        return FeatureSet(points=pts, patches=np.zeros((len(pts), 9, 9)),
-                          anchor_px=anchor, ref_z=5.0)
-
-    def test_single_feature_at_principal_point(self):
-        camera = nadir_camera([0, 0, 5.0], width=641, height=481,
-                              focal_length=400.0)
-        fs = self._fs([[320.0, 240.0]])
-        assert centroid(fs, camera) == (0.0, 0.0)
-
-    def test_symmetric_features_cancel(self):
-        camera = nadir_camera([0, 0, 5.0], width=641, height=481,
-                              focal_length=400.0)
-        fs = self._fs([[300.0, 200.0], [340.0, 280.0]])
-        assert centroid(fs, camera) == (0.0, 0.0)
-
-    def test_pixel_mean_converts_to_normalized(self):
-        camera = nadir_camera([0, 0, 5.0], width=641, height=481,
-                              focal_length=400.0)
-        fs = self._fs([[300.0, 200.0], [340.0, 200.0]])
-        u, v = centroid(fs, camera)
-        assert u == pytest.approx(0.0, abs=1e-15)
-        assert v == pytest.approx(-0.1, abs=1e-15)
-
-    def test_empty_set_rejected(self):
-        camera = nadir_camera([0, 0, 5.0])
-        with pytest.raises(ValueError):
-            centroid(self._fs(np.zeros((0, 2))), camera)
-
-
 class TestInteractionMatrix:
     def test_centered_feature(self):
         l_mat = interaction_matrix((0.0, 0.0), 2.0)
@@ -133,30 +99,24 @@ class TestInteractionMatrix:
             interaction_matrix((0.0, 0.0), float("nan"))
 
 
-def default_state(centroid_n, z, params: Params) -> ServoState:
-    return ServoState(centroid=centroid_n, z=z, gain=params.lam,
-                      v_xy_max=params.v_xy_max, v_z_max=params.v_z_max,
-                      e_align=params.e_align, v_des=params.v_des)
-
-
 class TestControl:
     def test_worked_example(self, params):
         v_raw = ibvs_velocity((0.0, 0.0), 2.0, (0.1, 0.0), 0.8)
         assert np.allclose(v_raw, [0.16, 0.0, 0.0], atol=1e-12)
 
     def test_zero_error_descends(self, params):
-        cmd = control(default_state((0.0, 0.0), 2.0, params))
+        cmd = control((0.0, 0.0), 2.0, params)
         assert cmd.vx == 0.0 and cmd.vy == 0.0
         assert cmd.vz == -params.v_des
 
     def test_descent_gate_only_below_alignment_threshold(self, params):
-        aligned = control(default_state((0.001, 0.0), 3.0, params))
+        aligned = control((0.001, 0.0), 3.0, params)
         assert aligned.vz == -params.v_des
-        misaligned = control(default_state((0.3, 0.0), 3.0, params))
+        misaligned = control((0.3, 0.0), 3.0, params)
         assert misaligned.vz != -params.v_des
 
     def test_saturation_preserves_lateral_direction(self, params):
-        cmd = control(default_state((0.3, 0.2), 5.0, params))
+        cmd = control((0.3, 0.2), 5.0, params)
         assert cmd.lateral_norm == pytest.approx(params.v_xy_max, abs=1e-12)
         v_raw = ibvs_velocity((0.3, 0.2), 5.0, (0.3, 0.2), params.lam)
         cross = cmd.vx * v_raw[1] - cmd.vy * v_raw[0]
@@ -168,14 +128,14 @@ class TestControl:
         for _ in range(500):
             s = tuple(rng.uniform(-5, 5, 2))
             z = float(rng.uniform(1e-3, 50.0))
-            cmd = control(default_state(s, z, params))
+            cmd = control(s, z, params)
             assert math.isfinite(cmd.vx) and math.isfinite(cmd.vy) \
                 and math.isfinite(cmd.vz)
             assert cmd.lateral_norm <= params.v_xy_max * (1 + 1e-12)
             assert abs(cmd.vz) <= params.v_z_max * (1 + 1e-12)
 
     def test_bad_depth_hovers(self, params):
-        assert control(default_state((0.1, 0.0), float("nan"), params)) == HOVER
+        assert control((0.1, 0.0), float("nan"), params) == HOVER
 
     def test_pseudoinverse_matches_normal_equations(self):
         rng = np.random.default_rng(1)
@@ -194,8 +154,8 @@ class TestControl:
         z = 4.0
         target = np.array([0.4, -0.3])   # ground offset of the mark, m
         cam = np.zeros(2)
-        state_limits = dict(gain=params.lam, v_xy_max=1e9, v_z_max=1e9,
-                            e_align=1e-12, v_des=0.0)
+        limits = dataclasses.replace(params, v_xy_max=1e9, v_z_max=1e9,
+                                     e_align=1e-12, v_des=0.0)
         tol = 0.05 * params.lam * dt
         bound = 1.0 - params.lam * dt + tol
         prev = None
@@ -205,7 +165,7 @@ class TestControl:
             if prev is not None:
                 assert e <= bound * prev + 1e-15
             prev = e
-            cmd = control(ServoState(centroid=s, z=z, **state_limits))
+            cmd = control(s, z, limits)
             cam += np.array([cmd.vx, -cmd.vy]) * dt
             z += cmd.vz * dt
         assert prev < 1e-3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from safeland.params import Params
-from safeland.scene import NoiseModel, Scenario, nadir_camera
+from safeland.scene import Box, NoiseModel, Scenario, nadir_camera
 from safeland.servo import HOVER, VelocityCommand
 from safeland.simloop import (VehicleState, command_to_world,
                               lawnmower_waypoints, run_episode, step_vehicle,
@@ -121,6 +121,15 @@ class TestEpisode:
         a = run_episode(scenario, Params(f_max=40), seed=1)
         b = run_episode(scenario, Params(f_max=40), seed=2)
         assert a.telemetry != b.telemetry
+
+    def test_descent_onto_box_top_lands(self):
+        # the vehicle starts over a wide box, commits on its top and must
+        # touch down there instead of descending into it
+        scenario = make_flat_scenario(obstacles=(Box((3.6, 2.9), (2.0, 2.0), 0.4),))
+        result = run_episode(scenario, Params(f_max=50), seed=0)
+        assert result.outcome == "landed"
+        assert result.touchdown_error < 0.05
+        assert result.telemetry[-1]["z"] > 0.4
 
     def test_timeout_when_nothing_feasible(self):
         scenario = Scenario(terrain="rough", extent=(6.0, 5.0),
