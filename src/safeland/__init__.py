@@ -9,7 +9,6 @@ law fly the vehicle to touchdown.
 
 from .belief import (RegionTrack, associate, footprint_iou, likelihood_safe,
                      likelihood_unsafe, predict, step, update)
-from .cli import RunConfig
 from .params import ConfigError, Params, apply_overrides, validate
 from .perception import (CueVector, PlaneFit, RegionMask, compute_cues,
                          extract_regions, fit_plane, gravity_in_camera,

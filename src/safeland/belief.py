@@ -86,13 +86,13 @@ class AssociationResult:
     next_id: int
 
 
-def associate(tracks: list[RegionTrack], regions: list[RegionMask], *,
-              b0: float, next_id: int,
-              iou_min: float = 0.3, grace: int = 5) -> AssociationResult:
+def associate(tracks: list[RegionTrack], regions: list[RegionMask], params: Params,
+              *, next_id: int) -> AssociationResult:
     """Greedy best-IoU matching of current regions onto existing tracks.
 
-    Unmatched regions spawn fresh tracks at the initial belief; tracks
-    unmatched for more than ``grace`` consecutive frames retire.
+    Pairs match at IoU ``params.iou_min`` or more. Unmatched regions spawn
+    fresh tracks at the initial belief ``params.b0``; tracks unmatched for
+    more than ``params.track_grace`` consecutive frames retire.
     """
     n_t, n_r = len(tracks), len(regions)
     iou = np.zeros((n_t, n_r))
@@ -107,7 +107,7 @@ def associate(tracks: list[RegionTrack], regions: list[RegionMask], *,
     while n_t and n_r:
         masked = np.where(used_t[:, None] | used_r[None, :], -1.0, iou)
         i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        if masked[i, j] < iou_min:
+        if masked[i, j] < params.iou_min:
             break
         used_t[i] = used_r[j] = True
         track, region = tracks[i], regions[j]
@@ -119,14 +119,14 @@ def associate(tracks: list[RegionTrack], regions: list[RegionMask], *,
     for i, track in enumerate(tracks):
         if not used_t[i]:
             track.misses += 1
-            if track.misses > grace:
+            if track.misses > params.track_grace:
                 continue
         survivors.append(track)
 
     for j, region in enumerate(regions):
         if used_r[j]:
             continue
-        fresh = RegionTrack(id=next_id, mask=region, belief=b0)
+        fresh = RegionTrack(id=next_id, mask=region, belief=params.b0)
         next_id += 1
         survivors.append(fresh)
         matches.append((fresh, region))

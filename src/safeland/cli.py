@@ -1,7 +1,8 @@
 """Command-line front end: single and batch episode runs with file emission.
 
 Exit codes: 0 landed (all landed for a batch), 2 aborted, 3 timeout,
-4 configuration error, 5 I/O error.
+4 configuration error, 5 I/O error, 6 crashed. A batch that does not
+land every episode exits with the code of its first such episode.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ EXIT_ABORTED = 2
 EXIT_TIMEOUT = 3
 EXIT_CONFIG = 4
 EXIT_IO = 5
+EXIT_CRASHED = 6
 
 SUMMARY_FIELDS = (
     "seed", "outcome", "frames_total", "frames_to_commit", "commit_belief",
@@ -33,7 +35,8 @@ SUMMARY_FIELDS = (
     "infeasible_belief_at_commit", "peak_infeasible_belief",
 )
 
-_OUTCOME_CODE = {"landed": EXIT_OK, "aborted": EXIT_ABORTED, "timeout": EXIT_TIMEOUT}
+_OUTCOME_CODE = {"landed": EXIT_OK, "aborted": EXIT_ABORTED, "timeout": EXIT_TIMEOUT,
+                 "crashed": EXIT_CRASHED}
 
 _EMIT_TOKENS = {"summary", "telemetry", "maps"}
 

@@ -7,6 +7,11 @@ components; invalid (dropout) pixels are tolerated inside a component so
 holes do not shatter or shrink a region, but a region that is mostly
 invalid is dropped. Valid pixels that fail screening form the obstacle
 map consumed by the proximity cue.
+
+Screening is the one place that computes the per-frame quantities: the
+world point of every pixel and the distance of every pixel to the
+nearest obstacle pixel. Region extraction and the cues of every region
+read them from the screen result instead of recomputing them.
 """
 from __future__ import annotations
 
@@ -26,7 +31,8 @@ _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
 class ScreenResult:
     pass_mask: np.ndarray      # valid pixels that satisfy the screening criteria
     obstacle_mask: np.ndarray  # valid pixels that violate them
-    world_height: np.ndarray   # reconstructed terrain height per pixel (m)
+    world_points: np.ndarray   # (H, W, 3) world point per pixel (m; meaningless where invalid)
+    obstacle_dist_px: np.ndarray  # distance to the nearest obstacle pixel (px; inf if none)
 
 
 @dataclass(frozen=True)
@@ -64,16 +70,11 @@ class CueVector:
             raise ValueError(f"cue out of range: {self}")
 
 
-def _pixel_world_points(frame: DepthFrame) -> np.ndarray:
-    """(H, W, 3) world point per pixel (meaningless where invalid)."""
-    dirs = frame.camera.pixel_dirs_world()
-    return frame.camera.position + dirs * frame.depth[..., None]
-
-
 def screen_frame(frame: DepthFrame, params: Params) -> ScreenResult:
     valid = frame.valid
     k = params.screen_k
-    world_z = _pixel_world_points(frame)[..., 2]
+    world = frame.camera.position + frame.camera.pixel_dirs_world() * frame.depth[..., None]
+    world_z = world[..., 2]
     hz = np.where(valid, world_z, 0.0)
     vf = valid.astype(float)
 
@@ -98,7 +99,12 @@ def screen_frame(frame: DepthFrame, params: Params) -> ScreenResult:
 
     pass_mask = pass_var & pass_grad
     obstacle_mask = valid & ~pass_mask
-    return ScreenResult(pass_mask=pass_mask, obstacle_mask=obstacle_mask, world_height=world_z)
+    if obstacle_mask.any():
+        obstacle_dist_px = np.sqrt(distance_sq_to(obstacle_mask).astype(float))
+    else:
+        obstacle_dist_px = np.full(obstacle_mask.shape, np.inf)
+    return ScreenResult(pass_mask=pass_mask, obstacle_mask=obstacle_mask,
+                        world_points=world, obstacle_dist_px=obstacle_dist_px)
 
 
 def _masked_gradient(d: np.ndarray, valid: np.ndarray, axis: int) -> np.ndarray:
@@ -132,7 +138,7 @@ def extract_regions(frame: DepthFrame, params: Params,
         return []
 
     regions: list[RegionMask] = []
-    world = _pixel_world_points(frame)
+    world = screen.world_points
     for lab in range(1, n_labels + 1):
         comp = labels == lab
         area = int(comp.sum())
@@ -208,28 +214,28 @@ def gravity_in_camera(camera: CameraModel) -> np.ndarray:
 
 
 def compute_cues(frame: DepthFrame, mask: RegionMask, fit: PlaneFit,
-                 gravity_cam: np.ndarray, obstacle_mask: np.ndarray,
+                 gravity_cam: np.ndarray, obstacle_dist_px: np.ndarray,
                  params: Params) -> CueVector:
-    """Flatness, slope, obstacle-proximity cue vector for one region."""
+    """Flatness, slope, obstacle-proximity cue vector for one region.
+
+    ``obstacle_dist_px`` is the frame's obstacle distance map
+    (``ScreenResult.obstacle_dist_px``); with no obstacle it is inf
+    everywhere and the proximity cue is 0.
+    """
     g = np.asarray(gravity_cam, dtype=float)
     if not np.isclose(np.linalg.norm(g), 1.0, atol=1e-6):
         raise ValueError("gravity direction must be unit length")
     flat = fit.rms_residual / params.sigma_f
     slope = float(np.arccos(np.clip(abs(float(fit.normal @ g)), 0.0, 1.0)))
 
-    if not obstacle_mask.any():
-        prox = 0.0
-    else:
-        dist_px = np.sqrt(distance_sq_to(obstacle_mask).astype(float))
-        vs, us = np.nonzero(mask.pixels)
-        cu, cv = mask.centroid_px
-        d2c = (us - cu) ** 2 + (vs - cv) ** 2
-        order = np.lexsort((us, vs, d2c))
-        k = min(params.obstacle_k, order.size)
-        sel = order[:k]
-        gsd = mask.mean_depth / frame.camera.focal_length
-        d_obs = float(dist_px[vs[sel], us[sel]].mean()) * gsd
-        prox = float(np.exp(-d_obs / params.d_scale))
+    vs, us = np.nonzero(mask.pixels)
+    cu, cv = mask.centroid_px
+    d2c = (us - cu) ** 2 + (vs - cv) ** 2
+    order = np.lexsort((us, vs, d2c))
+    sel = order[:params.obstacle_k]
+    gsd = mask.mean_depth / frame.camera.focal_length
+    d_obs = float(obstacle_dist_px[vs[sel], us[sel]].mean()) * gsd
+    prox = float(np.exp(-d_obs / params.d_scale))
     return CueVector(flatness=flat, slope=slope, obstacle=prox)
 
 

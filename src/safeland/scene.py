@@ -310,18 +310,8 @@ def _value_noise(rng: np.random.Generator, shape: tuple[int, int], cell: int) ->
     ny = shape[0] // cell + 2
     nx = shape[1] // cell + 2
     coarse = rng.random((ny, nx))
-    yy = np.arange(shape[0]) / cell
-    xx = np.arange(shape[1]) / cell
-    j0 = yy.astype(np.int64)
-    i0 = xx.astype(np.int64)
-    fy = (yy - j0)[:, None]
-    fx = (xx - i0)[None, :]
-    j0 = j0[:, None]
-    i0 = i0[None, :]
-    return (coarse[j0, i0] * (1 - fx) * (1 - fy)
-            + coarse[j0, i0 + 1] * fx * (1 - fy)
-            + coarse[j0 + 1, i0] * (1 - fx) * fy
-            + coarse[j0 + 1, i0 + 1] * fx * fy)
+    return _bilinear_grid(coarse, cell, np.arange(shape[1])[None, :],
+                          np.arange(shape[0])[:, None], 0.0)
 
 
 def build_world(scenario: Scenario) -> World:

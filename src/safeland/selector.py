@@ -1,51 +1,37 @@
 """Landing-footprint feasibility and constrained commit decision.
 
 The inscribed radius of a region mask is the maximum of an exact
-Euclidean distance transform (squared integer distances), converted to
-meters by the ground sample distance. The transform runs in two passes:
-per-row distance to the nearest background pixel, then a per-column
-minimization over the squared-distance parabolas. The image border
-counts as background, so a mask touching the edge is one pixel from it.
+Euclidean distance transform, converted to meters by the ground sample
+distance. The transform is scipy's exact EDT, rounded to the squared
+integer pixel distances it represents. The image border counts as
+background, so a mask touching the edge is one pixel from it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-_FAR = 10**6  # px, larger than any image dimension used here
+from scipy import ndimage
 
 
 def distance_sq_to(targets: np.ndarray, pad_with_targets: bool = False) -> np.ndarray:
     """Exact squared Euclidean pixel distance from every pixel to the nearest target.
 
     With ``pad_with_targets`` the image is treated as surrounded by a
-    one-pixel ring of targets. Target pixels report 0. If the image
-    contains no target at all, distances come back >= _FAR**2.
+    one-pixel ring of targets. Target pixels report 0. An image without
+    any target raises ``ValueError``.
     """
     t = np.asarray(targets, dtype=bool)
     if t.ndim != 2:
         raise ValueError("targets must be a 2-D boolean array")
     if pad_with_targets:
         t = np.pad(t, 1, constant_values=True)
-    h, w = t.shape
-
-    idx = np.arange(w, dtype=np.int64)
-    left_pos = np.where(t, idx[None, :], -_FAR)
-    left_pos = np.maximum.accumulate(left_pos, axis=1)
-    d_left = idx[None, :] - left_pos
-    right_pos = np.where(t, idx[None, :], 2 * _FAR)
-    right_pos = np.minimum.accumulate(right_pos[:, ::-1], axis=1)[:, ::-1]
-    d_right = right_pos - idx[None, :]
-    g = np.minimum(np.minimum(d_left, d_right), _FAR)
-
-    dy = np.arange(h, dtype=np.int64)
-    dy2 = (dy[:, None] - dy[None, :]) ** 2            # (H, H)
-    g2 = g * g                                        # (H, W)
-    d2 = (dy2[:, :, None] + g2[None, :, :]).min(axis=1)
+    if not t.any():
+        raise ValueError("targets must contain at least one target pixel")
+    d = ndimage.distance_transform_edt(~t)
     if pad_with_targets:
-        d2 = d2[1:-1, 1:-1]
-    return d2
+        d = d[1:-1, 1:-1]
+    return np.rint(d * d).astype(np.int64)
 
 
 def inscribed_distance_sq(mask: np.ndarray) -> np.ndarray:

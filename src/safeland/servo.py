@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .params import Params
-from .scene import CameraModel
+from .scene import CameraModel, _bilinear_grid
 
 _MIN_CORNER_SCORE = 1e-5  # variance threshold; constant patches score zero
 _SCORE_WIN = 5            # px, window of the corner variance score
@@ -111,17 +111,8 @@ def _sample_patch_bilinear(intensity: np.ndarray, u: float, v: float,
     pr = patch_radius
     if not (pr + 1 <= u <= w - 2 - pr and pr + 1 <= v <= h - 2 - pr):
         return None
-    us = u + np.arange(-pr, pr + 1)
-    vs = v + np.arange(-pr, pr + 1)
-    i0 = np.floor(us).astype(np.int64)
-    j0 = np.floor(vs).astype(np.int64)
-    fu = (us - i0)[None, :]
-    fv = (vs - j0)[:, None]
-    g = intensity
-    return (g[np.ix_(j0, i0)] * (1 - fu) * (1 - fv)
-            + g[np.ix_(j0, i0 + 1)] * fu * (1 - fv)
-            + g[np.ix_(j0 + 1, i0)] * (1 - fu) * fv
-            + g[np.ix_(j0 + 1, i0 + 1)] * fu * fv)
+    offs = np.arange(-pr, pr + 1)
+    return _bilinear_grid(intensity, 1.0, (u + offs)[None, :], (v + offs)[:, None], 0.0)
 
 
 def _subpixel_refine(intensity: np.ndarray, template: np.ndarray, u: float,

@@ -5,10 +5,11 @@ phase flies a lawnmower pattern at constant altitude while beliefs
 accumulate; once a feasible track crosses the commit threshold the
 selector is never re-entered and the terminal phase servos the vehicle
 over the committed center and descends. Tracking loss beyond the grace
-window aborts to hover. Both phases take each frame from one sense step
-(render, then corrupt, stamped with the frame index) and read every
-setting from ``Params``. Touchdown is tested against the surface under
-the vehicle, box tops included.
+window aborts to hover. A scan that flies into an obstacle taller than
+the scan altitude ends the episode as crashed. Both phases take each
+frame from one sense step (render, then corrupt, stamped with the frame
+index) and read every setting from ``Params``. Touchdown is tested
+against the surface under the vehicle, box tops included.
 
 Vehicle motion is kinematic: a first-order velocity response with time
 constant ``t_v`` followed by Euler position integration. Commands from
@@ -52,7 +53,7 @@ class VehicleState:
 
 @dataclass
 class EpisodeResult:
-    outcome: str                          # landed | aborted | timeout
+    outcome: str                          # landed | aborted | timeout | crashed
     seed: int
     frames_total: int
     frames_to_commit: int | None = None
@@ -198,7 +199,8 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
     """Fly the lawnmower pattern until a commit or ``f_max`` frames.
 
     Returns (state, committed mask, world point of its center), or None on
-    timeout.
+    timeout or when the vehicle has flown into the surface (outcome
+    ``crashed``, ``frames_total`` counting the frames sensed before).
     """
     dt = 1.0 / params.f_s
     guidance = _ScanGuidance(
@@ -208,12 +210,14 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
     tracks: list[bel.RegionTrack] = []
     next_id = 0
     for t in range(params.f_max):
+        if state.position[2] <= world.surface_height_at(state.position[0], state.position[1]):
+            result.outcome = "crashed"
+            return None
         result.frames_total = t + 1
         frame = _sense(scenario, world, state, rng, t)
         screen = per.screen_frame(frame, params)
         regions = per.extract_regions(frame, params, screen=screen)
-        assoc = bel.associate(tracks, regions, b0=params.b0, next_id=next_id,
-                              iou_min=params.iou_min, grace=params.track_grace)
+        assoc = bel.associate(tracks, regions, params, next_id=next_id)
         tracks, next_id = assoc.tracks, assoc.next_id
 
         gravity = per.gravity_in_camera(frame.camera)
@@ -223,7 +227,7 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
             if fit is None:
                 continue
             matched_cues[track.id] = per.compute_cues(
-                frame, region, fit, gravity, screen.obstacle_mask, params)
+                frame, region, fit, gravity, screen.obstacle_dist_px, params)
         bel.step(tracks, matched_cues, params)
 
         feasibility, centers = _feasibility(tracks, params.rho_min)

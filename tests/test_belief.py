@@ -168,12 +168,15 @@ def square_cells(x0: float, y0: float, side: float, res: float = 0.1) -> np.ndar
     return np.stack([ii.ravel(), jj.ravel()], axis=1).astype(np.int64)
 
 
+ASSOC = Params(b0=0.5, iou_min=0.3, track_grace=5)
+
+
 class TestAssociation:
     def test_identical_footprints_match_with_unit_iou(self):
         cells = square_cells(0.0, 0.0, 1.0)
         assert footprint_iou(cells, cells) == 1.0
         track = RegionTrack(id=0, mask=region_with_cells(cells), belief=0.7)
-        result = associate([track], [region_with_cells(cells)], b0=0.5, next_id=1)
+        result = associate([track], [region_with_cells(cells)], ASSOC, next_id=1)
         assert len(result.matches) == 1
         assert result.matches[0][0].id == 0
 
@@ -182,7 +185,7 @@ class TestAssociation:
         b = square_cells(5.0, 5.0, 1.0)
         assert footprint_iou(a, b) == 0.0
         track = RegionTrack(id=0, mask=region_with_cells(a), belief=0.7)
-        result = associate([track], [region_with_cells(b)], b0=0.5, next_id=1)
+        result = associate([track], [region_with_cells(b)], ASSOC, next_id=1)
         matched_ids = [t.id for t, _ in result.matches]
         assert 0 not in matched_ids          # old track went unmatched
         assert len(result.tracks) == 2       # survivor + spawned track
@@ -192,12 +195,12 @@ class TestAssociation:
         b = square_cells(0.5, 0.0, 1.0)
         assert footprint_iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
         track = RegionTrack(id=0, mask=region_with_cells(a), belief=0.7)
-        result = associate([track], [region_with_cells(b)], b0=0.5, next_id=1)
+        result = associate([track], [region_with_cells(b)], ASSOC, next_id=1)
         assert [t.id for t, _ in result.matches] == [0]
 
     def test_new_regions_spawn_tracks_at_initial_belief(self):
         cells = square_cells(0.0, 0.0, 1.0)
-        result = associate([], [region_with_cells(cells)], b0=0.5, next_id=7)
+        result = associate([], [region_with_cells(cells)], ASSOC, next_id=7)
         assert len(result.tracks) == 1
         assert result.tracks[0].id == 7
         assert result.tracks[0].belief == 0.5
@@ -208,10 +211,10 @@ class TestAssociation:
         track = RegionTrack(id=0, mask=region_with_cells(cells), belief=0.8)
         tracks = [track]
         for _ in range(5):
-            result = associate(tracks, [], b0=0.5, next_id=1, grace=5)
+            result = associate(tracks, [], ASSOC, next_id=1)
             tracks = result.tracks
             assert len(tracks) == 1
-        result = associate(tracks, [], b0=0.5, next_id=1, grace=5)
+        result = associate(tracks, [], ASSOC, next_id=1)
         assert result.tracks == []
 
     def test_greedy_prefers_highest_iou(self):
@@ -220,7 +223,7 @@ class TestAssociation:
         near = square_cells(0.1, 0.0, 1.0)            # IoU ~ 0.8 with a
         track = RegionTrack(id=0, mask=region_with_cells(a), belief=0.8)
         result = associate([track], [region_with_cells(shifted_small),
-                                     region_with_cells(near)], b0=0.5, next_id=1)
+                                     region_with_cells(near)], ASSOC, next_id=1)
         matched_region = next(r for t, r in result.matches if t.id == 0)
         assert np.array_equal(matched_region.ground_footprint, near)
 

@@ -2,8 +2,8 @@ import csv
 
 import pytest
 
-from safeland.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TIMEOUT, main,
-                          parse_overrides, parse_seeds)
+from safeland.cli import (EXIT_CONFIG, EXIT_CRASHED, EXIT_IO, EXIT_OK,
+                          EXIT_TIMEOUT, main, parse_overrides, parse_seeds)
 from safeland.params import ConfigError, Params, apply_overrides
 
 from conftest import SCENARIO_DIR, output_digest
@@ -76,6 +76,22 @@ class TestMain:
         for seed in (0, 1, 2):
             assert (tmp_path / f"telemetry_{seed}.csv").exists()
             assert (tmp_path / f"tracks_{seed}.csv").exists()
+
+    def test_batch_of_crashes_writes_summary_and_exits_crashed(self, tmp_path):
+        # the scan at 1 m altitude flies into a 2 m box on its first row
+        scenario = tmp_path / "wall.yaml"
+        scenario.write_text(
+            "name: wall\nterrain: flat\nextent: [6.0, 5.0]\ntexture_seed: 5\n"
+            "altitude: 1.0\nstart: [1.0, 1.0]\n"
+            "obstacles:\n  - center: [3.0, 1.0]\n    extents: [0.6, 0.6]\n"
+            "    height: 2.0\n")
+        out = tmp_path / "out"
+        code = main([str(scenario), "--seeds", "0..1", "--out", str(out)])
+        assert code == EXIT_CRASHED
+        with open(out / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["seed"] for r in rows] == ["0", "1"]
+        assert {r["outcome"] for r in rows} == {"crashed"}
 
     def test_flat_scenario_lands_with_exit_zero(self, tmp_path, capsys):
         code = main([str(SCENARIO_DIR / "flat.yaml"), "--emit",

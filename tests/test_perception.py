@@ -14,6 +14,24 @@ import oracles
 from conftest import make_flat_scenario, synthetic_frame
 
 
+class TestScreenFrame:
+    def test_obstacle_distance_map_matches_brute_force(self, params):
+        sc = make_flat_scenario(extent=(9.0, 7.0), obstacles=(
+            Box(center=(3.5, 3.0), extents=(0.6, 0.8), height=0.8),
+            Box(center=(5.6, 4.2), extents=(0.4, 0.4), height=1.2)))
+        world = build_world(sc)
+        frame = render_true_depth(world, nadir_camera([4.5, 3.5, 5.0]))
+        screen = screen_frame(frame, params)
+        assert screen.obstacle_mask.any()
+        ref = np.sqrt(oracles.brute_force_distance_sq(screen.obstacle_mask).astype(float))
+        assert np.array_equal(screen.obstacle_dist_px, ref)
+
+    def test_obstacle_distance_is_inf_without_obstacles(self, params, flat_frame):
+        screen = screen_frame(flat_frame, params)
+        assert not screen.obstacle_mask.any()
+        assert np.all(np.isposinf(screen.obstacle_dist_px))
+
+
 class TestExtractRegions:
     def test_flat_frame_yields_single_region_of_all_valid_pixels(self, params):
         world = build_world(make_flat_scenario())
@@ -150,6 +168,13 @@ class TestFitPlane:
         assert base.rms_residual == pytest.approx(doubled.rms_residual, abs=1e-12)
 
 
+def oracle_distance_px(obstacle: np.ndarray) -> np.ndarray:
+    """Obstacle distance map from the brute-force oracle; inf without obstacles."""
+    if not obstacle.any():
+        return np.full(obstacle.shape, np.inf)
+    return np.sqrt(oracles.brute_force_distance_sq(obstacle).astype(float))
+
+
 class TestComputeCues:
     def _region_for(self, frame, params):
         regions = extract_regions(frame, params)
@@ -163,7 +188,7 @@ class TestComputeCues:
         region = self._region_for(frame, params)
         fit = fit_plane(frame, region)
         cues = compute_cues(frame, region, fit, gravity_in_camera(frame.camera),
-                            screen.obstacle_mask, params)
+                            oracle_distance_px(screen.obstacle_mask), params)
         assert cues.flatness == pytest.approx(0.0, abs=1e-7)
         assert cues.slope == pytest.approx(0.0, abs=1e-6)
         assert cues.obstacle == 0.0
@@ -177,7 +202,7 @@ class TestComputeCues:
         region = self._region_for(frame, params)
         fit = fit_plane(frame, region)
         cues = compute_cues(frame, region, fit, gravity_in_camera(frame.camera),
-                            screen.obstacle_mask, params)
+                            oracle_distance_px(screen.obstacle_mask), params)
         assert cues.slope == pytest.approx(math.radians(10.0), abs=1e-3)
 
     def test_obstacle_score_at_one_meter(self, params):
@@ -197,7 +222,7 @@ class TestComputeCues:
         fit = PlaneFit(normal=np.array([0.0, 0.0, -1.0]), offset=5.0,
                        rms_residual=0.0, inlier_count=9)
         cues = compute_cues(frame, region, fit, np.array([0.0, 0.0, 1.0]),
-                            obstacle, params)
+                            oracle_distance_px(obstacle), params)
         assert cues.obstacle == pytest.approx(math.exp(-2.0), abs=1e-12)
 
     def test_obstacle_score_zero_when_no_obstacles(self, params):
@@ -211,7 +236,7 @@ class TestComputeCues:
         fit = PlaneFit(normal=np.array([0.0, 0.0, -1.0]), offset=5.0,
                        rms_residual=0.0, inlier_count=400)
         cues = compute_cues(frame, region, fit, np.array([0.0, 0.0, 1.0]),
-                            np.zeros((20, 20), dtype=bool), params)
+                            oracle_distance_px(np.zeros((20, 20), dtype=bool)), params)
         assert cues.obstacle == 0.0
 
     def test_obstacle_score_monotone_in_distance(self, params):
@@ -231,7 +256,7 @@ class TestComputeCues:
             obstacle = np.zeros((h, w), dtype=bool)
             obstacle[:, col] = True
             cues = compute_cues(frame, region, fit, np.array([0.0, 0.0, 1.0]),
-                                obstacle, params)
+                                oracle_distance_px(obstacle), params)
             scores.append(cues.obstacle)
         assert all(a > b for a, b in zip(scores, scores[1:]))
 
@@ -248,11 +273,11 @@ class TestComputeCues:
         cues_a = compute_cues(frame, region,
                               PlaneFit(n, 5.0, 0.0, 400),
                               np.array([0.0, 0.0, 1.0]),
-                              np.zeros((20, 20), dtype=bool), params)
+                              oracle_distance_px(np.zeros((20, 20), dtype=bool)), params)
         cues_b = compute_cues(frame, region,
                               PlaneFit(-n, 5.0, 0.0, 400),
                               np.array([0.0, 0.0, 1.0]),
-                              np.zeros((20, 20), dtype=bool), params)
+                              oracle_distance_px(np.zeros((20, 20), dtype=bool)), params)
         assert cues_a.slope == pytest.approx(cues_b.slope, abs=1e-15)
 
     def test_cue_vector_validation(self):

@@ -66,6 +66,10 @@ class TestDistanceTransform:
         ref = oracles.brute_force_distance_sq(targets)
         assert np.array_equal(d2, ref)
 
+    def test_no_target_raises(self):
+        with pytest.raises(ValueError):
+            distance_sq_to(np.zeros((4, 6), dtype=bool))
+
     def test_argmax_tie_breaks_to_lowest_row_then_column(self):
         mask = np.zeros((3, 7), dtype=bool)
         mask[1, 1] = True

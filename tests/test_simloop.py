@@ -131,6 +131,18 @@ class TestEpisode:
         assert result.touchdown_error < 0.05
         assert result.telemetry[-1]["z"] > 0.4
 
+    def test_scan_into_tall_box_crashes(self):
+        # the first scan row at 1 m altitude runs into a 2 m box; the
+        # episode must end as crashed instead of raising from the renderer
+        scenario = make_flat_scenario(altitude=1.0, start=(1.0, 1.0), obstacles=(
+            Box((3.0, 1.0), (0.6, 0.6), 2.0),))
+        result = run_episode(scenario, Params(), seed=0)
+        assert result.outcome == "crashed"
+        assert result.frames_to_commit is None
+        assert result.frames_total == len(result.telemetry)
+        last = result.telemetry[-1]
+        assert abs(last["x"] - 3.0) < 0.6 and abs(last["y"] - 1.0) < 0.6
+
     def test_timeout_when_nothing_feasible(self):
         scenario = Scenario(terrain="rough", extent=(6.0, 5.0),
                             rough_amplitude=0.25, rough_scale=0.2,
