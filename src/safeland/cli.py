@@ -2,7 +2,9 @@
 
 Exit codes: 0 landed (all landed for a batch), 2 aborted, 3 timeout,
 4 configuration error, 5 I/O error, 6 crashed. A batch that does not
-land every episode exits with the code of its first such episode.
+land every episode exits with the code of its first such episode. An
+output directory that cannot be created stops the run with exit 5
+before any episode, and a failed output write exits 5 as well.
 """
 from __future__ import annotations
 
@@ -148,7 +150,11 @@ def _summary_row(res: EpisodeResult) -> dict:
 
 
 def run(config: RunConfig, scenario: Scenario) -> list[EpisodeResult]:
-    """Execute the configured seeds and write the requested artifacts."""
+    """Execute the configured seeds and write the requested artifacts.
+
+    The output directory is created before any episode runs, so an
+    unusable ``out_dir`` raises ``OSError`` without simulating anything.
+    """
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -210,7 +216,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: scenario: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    results = run(config, scenario)
+    try:
+        results = run(config, scenario)
+    except OSError as exc:  # the output directory or a file in it cannot be written
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
     for res in results:
         line = (f"seed={res.seed} outcome={res.outcome} "
                 f"frames={res.frames_total} commit_frame={res.frames_to_commit} "

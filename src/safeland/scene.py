@@ -14,8 +14,15 @@ Conventions used throughout the package:
 Rendering casts one ray per pixel against the heightfield (fixed-step
 march at half the ground resolution, one bisection plus a secant
 refinement on the bracketing interval) and against axis-aligned boxes
-(exact slab test). Rendering and corruption are pure functions; the RNG
-for corruption is passed explicitly.
+(exact slab test). The march lattice is shared by the frame and spans
+the global height range, but only the window of it that can hold a
+ray's first sample under the terrain is evaluated: it is bounded by the
+highest and lowest terrain under the view's ground footprint. A view
+with a ray that does not descend, or whose footprint leaves the
+heightfield, marches the whole lattice. Boxes that no ray of the view
+can reach are not slab-tested. Both bounds leave every result bit for
+bit as the full march gives it. Rendering and corruption are pure
+functions; the RNG for corruption is passed explicitly.
 """
 from __future__ import annotations
 
@@ -28,6 +35,7 @@ import yaml
 
 _EXIT_HEIGHT = -1.0e30  # stands in for "ray left the world bounds"
 _MAX_RANGE = 100.0      # m, farther returns are invalid
+_MARCH_MARGIN = 1e-9    # m, height slack of the march window
 
 
 @dataclass(frozen=True)
@@ -391,6 +399,58 @@ def _box_intersect(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray,
     return np.where(hit, t_hit, np.inf)
 
 
+def _box_in_view(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, margin: float) -> bool:
+    """Whether a view of descending rays can reach the box at all.
+
+    A descending ray meets the box no farther than where it crosses the
+    plane of the box's base, so its ground position there lies between
+    the camera's and that crossing. A box whose footprint, grown by
+    ``margin``, misses the bounds of those positions is out of view.
+    """
+    t_base = max(float(origin[2] - lo[2]), 0.0) / -dirs[..., 2]
+    for axis in (0, 1):
+        reach = origin[axis] + t_base * dirs[..., axis]
+        if (min(float(reach.min()), origin[axis]) > hi[axis] + margin
+                or max(float(reach.max()), origin[axis]) < lo[axis] - margin):
+            return False
+    return True
+
+
+def _march_window(world: World, origin: np.ndarray, dirs: np.ndarray,
+                  ts: np.ndarray) -> tuple[int, int]:
+    """Lattice indices [k_lo, k_hi] holding each ray's first hit and the sample before.
+
+    A hit is a sample under the terrain. ``ts`` is the (n+1, H, W) march lattice of a view whose rays all
+    descend. The terrain under the view's ground footprint, grown by one
+    cell, lies between ``lo`` and ``hi``: no sample above ``hi`` is under
+    it and every sample below ``lo`` is, so the first sample under the
+    terrain falls between the first sample any ray takes under ``hi`` and
+    the first by which every ray is under ``lo`` (the one-level case of a
+    maximum mipmap). A footprint that leaves the heightfield keeps the
+    whole lattice: a sample past the edge is never under the terrain, so
+    a ray outside the heightfield at ``k_hi`` may meet the terrain later.
+    """
+    n = ts.shape[0] - 1
+    cells = []
+    for axis, size in ((1, world.heights.shape[0]), (0, world.heights.shape[1])):
+        ends = (origin[axis] + ts[[0, n]] * dirs[..., axis]) / world.resolution
+        first, last = float(ends.min()), float(ends.max())
+        if first < 0.0 or last > size - 1:
+            return 0, n
+        cells.append(slice(max(math.floor(first) - 1, 0), min(math.floor(last) + 3, size)))
+    view = world.heights[tuple(cells)]
+    # the margin covers the rounding of bilinear interpolation
+    hi = float(view.max()) + _MARCH_MARGIN
+    lo = float(view.min()) - _MARCH_MARGIN
+    pz = (origin[2] + ts * dirs[..., 2]).reshape(n + 1, -1)
+    some_under = pz.min(axis=1) <= hi
+    all_under = pz.max(axis=1) <= lo
+    k_lo = int(np.argmax(some_under)) if some_under.any() else n
+    k_hi = int(np.argmax(all_under)) if all_under.any() else n
+    return max(k_lo - 1, 0), k_hi
+
+
 def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
     """Noise-free depth + intensity render of the world from the camera."""
     cam_z = float(camera.position[2])
@@ -408,6 +468,9 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
     dirs = camera.pixel_dirs_world()          # (H, W, 3), unit z-depth parameterization
     origin = camera.position
     h, w = camera.height, camera.width
+    dz = dirs[..., 2]
+    descending = dz < -1e-9
+    all_descending = bool(descending.all())
 
     t_box = np.full((h, w), np.inf)
     box_shade = np.ones((h, w))
@@ -417,16 +480,16 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
                        box.center[1] - box.extents[1] / 2.0, base])
         hi = np.array([box.center[0] + box.extents[0] / 2.0,
                        box.center[1] + box.extents[1] / 2.0, base + box.height])
+        if all_descending and not _box_in_view(origin, dirs, lo, hi, world.resolution):
+            continue
         t = _box_intersect(origin, dirs, lo, hi)
         closer = t < t_box
         t_box = np.where(closer, t, t_box)
         box_shade = np.where(closer, 0.85, box_shade)
 
     step = world.resolution * 0.5
-    dz = dirs[..., 2]
     hmax = float(world.heights.max())
     hmin = float(world.heights.min())
-    descending = dz < -1e-9
     inv_rate = np.where(descending, -dz, 1.0)
     t_lo = np.where(descending, np.maximum((cam_z - hmax) / inv_rate - step, 1e-6), 0.0)
     t_hi = np.where(descending, (cam_z - hmin) / inv_rate + step, 0.0)
@@ -436,10 +499,15 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
     span = np.maximum(np.where(descending, t_hi - t_lo, 0.0), 0.0)
     max_span = float(span.max()) if span.size else 0.0
     if max_span > 0.0:
+        # one lattice for the frame, set by the global height range; only
+        # the part of it that can hold a ray's first hit is evaluated
         n = int(math.ceil(max_span / step)) + 1
         n = max(n, 2)
         ks = np.arange(n + 1, dtype=float) / n          # (n+1,)
         ts = t_lo[None, ...] + ks[:, None, None] * span[None, ...]
+        if all_descending:
+            k_lo, k_hi = _march_window(world, origin, dirs, ts)
+            ts = ts[k_lo:k_hi + 1]
         px = origin[0] + ts * dirs[..., 0][None, ...]
         py = origin[1] + ts * dirs[..., 1][None, ...]
         pz = cam_z + ts * dz[None, ...]

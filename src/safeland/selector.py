@@ -4,7 +4,10 @@ The inscribed radius of a region mask is the maximum of an exact
 Euclidean distance transform, converted to meters by the ground sample
 distance. The transform is scipy's exact EDT, rounded to the squared
 integer pixel distances it represents. The image border counts as
-background, so a mask touching the edge is one pixel from it.
+background, so a mask touching the edge is one pixel from it. The
+radius of a mask is computed on its bounding box: the ring of pixels
+around the box is background or image border, and no background pixel
+beyond the ring is nearer to a mask pixel than the ring is.
 """
 from __future__ import annotations
 
@@ -66,13 +69,16 @@ def inscribed_radius(mask: np.ndarray, ground_sample_distance: float,
     if ground_sample_distance <= 0.0:
         raise ValueError("ground sample distance must be positive")
     m = np.asarray(mask, dtype=bool)
-    if not m.any():
+    rows = np.flatnonzero(m.any(axis=1))
+    if rows.size == 0:
         return FeasibilityResult(rho=0.0, feasible=False), None
-    d2 = inscribed_distance_sq(m)
-    flat_idx = int(np.argmax(d2))          # row-major argmax = lowest row, then column
-    v, u = np.unravel_index(flat_idx, d2.shape)
+    cols = np.flatnonzero(m.any(axis=0))
+    r0, c0 = int(rows[0]), int(cols[0])
+    d2 = inscribed_distance_sq(m[r0:int(rows[-1]) + 1, c0:int(cols[-1]) + 1])
+    # row-major argmax in the box = lowest row, then column, in the frame
+    v, u = np.unravel_index(int(np.argmax(d2)), d2.shape)
     rho = float(np.sqrt(float(d2[v, u])) * ground_sample_distance)
-    return FeasibilityResult(rho=rho, feasible=rho >= rho_min), (int(u), int(v))
+    return FeasibilityResult(rho=rho, feasible=rho >= rho_min), (int(u) + c0, int(v) + r0)
 
 
 def select(tracks, feasibility: dict[int, FeasibilityResult],

@@ -8,6 +8,14 @@ best match is not exact). Templates refresh only after a meaningful
 depth change, so a static camera over a static scene tracks with exactly
 zero drift.
 
+Matching is batched over the whole feature set: one SSD over every
+point's full search window, gathered in blocks of a few points to bound
+memory, and one Gauss-Newton refiner that stops each point on its own
+rules through an active mask. Its reductions are the ones that keep the
+bits of a per-point loop (a row-major argmin over windows whose clipped
+positions score inf, ``np.vecdot`` for the dot products, ``math.hypot``
+for step lengths).
+
 The feature set also carries an anchor: the image position of a chosen
 scene point (the detection centroid by default; the landing loop re-seats
 it on the committed center), propagated by the common scale-and-shift
@@ -81,99 +89,128 @@ def detect_features(intensity: np.ndarray, allowed: np.ndarray, *,
 
 def _sample_patches(intensity: np.ndarray, points: np.ndarray,
                     patch_radius: int) -> np.ndarray:
+    """Whole-pixel templates centered on the rounded points (inside the image)."""
     pr = patch_radius
-    out = np.empty((points.shape[0], 2 * pr + 1, 2 * pr + 1))
-    for i, (u, v) in enumerate(points):
-        ui, vi = int(round(u)), int(round(v))
-        out[i] = intensity[vi - pr: vi + pr + 1, ui - pr: ui + pr + 1]
-    return out
+    centers = np.round(points).astype(np.int64)
+    windows = sliding_window_view(intensity, (2 * pr + 1, 2 * pr + 1))
+    return windows[centers[:, 1] - pr, centers[:, 0] - pr]
 
 
-def _warp_template(template: np.ndarray, scale: float) -> np.ndarray:
-    """Template as it would appear after the scene magnified by ``scale``.
+def _warp_template(templates: np.ndarray, scale: float) -> np.ndarray:
+    """Templates (..., P, P) as they would appear after the scene magnified by ``scale``.
 
     Exact identity at scale 1 so a static scene still matches bit-exactly.
     """
     if scale == 1.0:
-        return template
-    p = template.shape[0]
+        return templates
+    p = templates.shape[-1]
     c = (p - 1) / 2.0
     coords = np.clip((np.arange(p) - c) / scale + c, 0.0, p - 1.0)
     i0 = np.minimum(coords.astype(np.int64), p - 2)
     f = coords - i0
-    rows = template[i0, :] * (1.0 - f)[:, None] + template[i0 + 1, :] * f[:, None]
-    return rows[:, i0] * (1.0 - f)[None, :] + rows[:, i0 + 1] * f[None, :]
+    rows = templates[..., i0, :] * (1.0 - f)[:, None] + templates[..., i0 + 1, :] * f[:, None]
+    return rows[..., i0] * (1.0 - f)[None, :] + rows[..., i0 + 1] * f[None, :]
 
 
-def _sample_patch_bilinear(intensity: np.ndarray, u: float, v: float,
-                           patch_radius: int) -> np.ndarray | None:
+def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # math.hypot, not np.hypot: the two differ in the last bit on some inputs
+    return np.fromiter(map(math.hypot, x, y), dtype=float, count=len(x))
+
+
+def _subpixel_refine(intensity: np.ndarray, templates: np.ndarray,
+                     points: np.ndarray, active: np.ndarray,
+                     patch_radius: int) -> np.ndarray:
+    """Gauss-Newton alignment of each active point's patch onto its template.
+
+    A point stops when its patch would leave the image, its normal
+    matrix is singular or its step falls under 1e-3 px; a point that
+    wandered more than 1.5 px keeps its start (the SSD answer).
+    """
     h, w = intensity.shape
     pr = patch_radius
-    if not (pr + 1 <= u <= w - 2 - pr and pr + 1 <= v <= h - 2 - pr):
-        return None
     offs = np.arange(-pr, pr + 1)
-    return _bilinear_grid(intensity, 1.0, (u + offs)[None, :], (v + offs)[:, None], 0.0)
-
-
-def _subpixel_refine(intensity: np.ndarray, template: np.ndarray, u: float,
-                     v: float, patch_radius: int) -> tuple[float, float]:
-    """Gradient-based sub-pixel alignment of the patch onto the template."""
-    uu, vv = u, v
+    pts = points.copy()
+    active = active.copy()
     for _ in range(_REFINE_ITERS):
-        patch = _sample_patch_bilinear(intensity, uu, vv, patch_radius)
-        if patch is None:
+        u, v = pts[:, 0], pts[:, 1]
+        active &= (pr + 1 <= u) & (u <= w - 2 - pr) & (pr + 1 <= v) & (v <= h - 2 - pr)
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
             break
-        r = (patch - template)[1:-1, 1:-1].ravel()
-        gu = 0.5 * (patch[1:-1, 2:] - patch[1:-1, :-2]).ravel()
-        gv = 0.5 * (patch[2:, 1:-1] - patch[:-2, 1:-1]).ravel()
-        h00 = float(gu @ gu) + 1e-12
-        h11 = float(gv @ gv) + 1e-12
-        h01 = float(gu @ gv)
-        b0 = float(gu @ r)
-        b1 = float(gv @ r)
+        patch = _bilinear_grid(intensity, 1.0, (u[idx, None] + offs)[:, None, :],
+                               (v[idx, None] + offs)[:, :, None], 0.0)
+        r = (patch - templates[idx])[:, 1:-1, 1:-1].reshape(idx.size, -1)
+        gu = (0.5 * (patch[:, 1:-1, 2:] - patch[:, 1:-1, :-2])).reshape(idx.size, -1)
+        gv = (0.5 * (patch[:, 2:, 1:-1] - patch[:, :-2, 1:-1])).reshape(idx.size, -1)
+        # np.vecdot reproduces the bits of a 1-D ``gu @ gu``; einsum and sum do not
+        h00 = np.vecdot(gu, gu) + 1e-12
+        h11 = np.vecdot(gv, gv) + 1e-12
+        h01 = np.vecdot(gu, gv)
+        b0 = np.vecdot(gu, r)
+        b1 = np.vecdot(gv, r)
         det = h00 * h11 - h01 * h01
-        if det <= 1e-18:
-            break
+        solvable = det > 1e-18
+        active[idx[~solvable]] = False
+        idx, det = idx[solvable], det[solvable]
+        h00, h11, h01, b0, b1 = (a[solvable] for a in (h00, h11, h01, b0, b1))
         du = -(h11 * b0 - h01 * b1) / det
         dv = -(h00 * b1 - h01 * b0) / det
-        step = math.hypot(du, dv)
-        if step > 1.0:
-            du, dv = du / step, dv / step
-        uu += du
-        vv += dv
-        if step < 1e-3:
-            break
-    if math.hypot(uu - u, vv - v) > 1.5:  # runaway refinement: keep the SSD answer
-        return u, v
-    return uu, vv
+        step = _hypot(du, dv)
+        norm = np.where(step > 1.0, step, 1.0)
+        pts[idx, 0] += du / norm
+        pts[idx, 1] += dv / norm
+        active[idx[step < 1e-3]] = False
+    runaway = _hypot(pts[:, 0] - points[:, 0], pts[:, 1] - points[:, 1]) > 1.5
+    pts[runaway] = points[runaway]
+    return pts
 
 
-def _match_point(intensity: np.ndarray, template: np.ndarray, u: float, v: float,
-                 search_radius: int, patch_radius: int,
-                 mse_max: float) -> tuple[float, float] | None:
+_SSD_CHUNK = 8  # points per block of the SSD; bounds its (8, S, S, P, P) temporary
+
+
+def _match_points(intensity: np.ndarray, templates: np.ndarray, points: np.ndarray,
+                  search_radius: int, patch_radius: int,
+                  mse_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-SSD match of every template in its search window, then refined.
+
+    Returns the matched positions and a mask of the points that matched:
+    a point fails when its window, clipped so the patch stays inside the
+    image, is empty or its best mean squared error exceeds ``mse_max``.
+    Positions outside a point's clipped window score inf, so the
+    row-major argmin picks the same position as a search of the clipped
+    window alone.
+    """
     h, w = intensity.shape
     pr, sr = patch_radius, search_radius
-    ui, vi = int(round(u)), int(round(v))
-    v0 = max(vi - sr, pr)
-    v1 = min(vi + sr, h - 1 - pr)
-    u0 = max(ui - sr, pr)
-    u1 = min(ui + sr, w - 1 - pr)
-    if v1 < v0 or u1 < u0:
-        return None
-    crop = intensity[v0 - pr: v1 + pr + 1, u0 - pr: u1 + pr + 1]
-    windows = sliding_window_view(crop, (2 * pr + 1, 2 * pr + 1))
-    ssd = ((windows - template) ** 2).sum(axis=(2, 3))
-    j, i = np.unravel_index(int(np.argmin(ssd)), ssd.shape)
-    best = float(ssd[j, i])
-    n_px = (2 * pr + 1) ** 2
-    if best / n_px > mse_max:
-        return None
-    mu, mv = float(u0 + i), float(v0 + j)
-    # sub-pixel refinement; an exact integer match is kept as-is so a
-    # static scene tracks with zero drift
-    if best > 0.0:
-        mu, mv = _subpixel_refine(intensity, template, mu, mv, pr)
-    return mu, mv
+    p, s = 2 * pr + 1, 2 * sr + 1
+    n = points.shape[0]
+    offs = np.arange(-sr, sr + 1)
+    centers = np.round(points).astype(np.int64)
+    us = centers[:, 0, None] + offs                 # (N, S) candidate columns
+    vs = centers[:, 1, None] + offs                 # (N, S) candidate rows
+    inside = (((vs >= pr) & (vs <= h - 1 - pr))[:, :, None]
+              & ((us >= pr) & (us <= w - 1 - pr))[:, None, :])
+    windows = sliding_window_view(intensity, (p, p))
+    rows = np.clip(vs - pr, 0, h - p)[:, :, None]
+    cols = np.clip(us - pr, 0, w - p)[:, None, :]
+    ssd = np.empty((n, s, s))
+    for c in range(0, n, _SSD_CHUNK):
+        blk = slice(c, c + _SSD_CHUNK)
+        diff = windows[rows[blk], cols[blk]]        # (chunk, S, S, P, P) copy
+        diff -= templates[blk, None, None]
+        np.square(diff, out=diff)
+        ssd[blk] = diff.sum(axis=(3, 4))
+    ssd[~inside] = np.inf
+    ssd = ssd.reshape(n, s * s)
+    flat = np.argmin(ssd, axis=1)
+    each = np.arange(n)
+    best = ssd[each, flat]
+    matched = best / (p * p) <= mse_max
+    j, i = np.divmod(flat, s)
+    hits = np.stack([us[each, i], vs[each, j]], axis=1).astype(float)
+    # an exact integer match is kept as-is so a static scene tracks with zero drift
+    hits = _subpixel_refine(intensity, templates, hits, matched & (best > 0.0), pr)
+    return hits, matched
 
 
 def _fit_similarity(prev_pts: np.ndarray, new_pts: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -252,26 +289,14 @@ def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
 
     h_img, w_img = intensity.shape
     border = float(margin)  # cull points before border clipping degrades their matches
-    kept_prev: list[np.ndarray] = []
-    kept_new: list[np.ndarray] = []
-    kept_patch: list[np.ndarray] = []
-    for i in range(previous.n_t):
-        u, v = previous.points[i]
-        hit = _match_point(intensity, _warp_template(previous.patches[i], scale),
-                           u, v, params.search_radius, pr, params.mse_max)
-        if hit is None:
-            continue
-        if not (border <= hit[0] <= w_img - 1 - border
-                and border <= hit[1] <= h_img - 1 - border):
-            continue
-        kept_prev.append(previous.points[i])
-        kept_new.append(np.array(hit))
-        kept_patch.append(previous.patches[i])
-
-    prev_pts = np.array(kept_prev) if kept_prev else np.zeros((0, 2))
-    new_pts = np.array(kept_new) if kept_new else np.zeros((0, 2))
+    hits, matched = _match_points(intensity, _warp_template(previous.patches, scale),
+                                  previous.points, params.search_radius, pr,
+                                  params.mse_max)
+    keep = (matched & (border <= hits[:, 0]) & (hits[:, 0] <= w_img - 1 - border)
+            & (border <= hits[:, 1]) & (hits[:, 1] <= h_img - 1 - border))
+    prev_pts, new_pts = previous.points[keep], hits[keep]
     anchor = _similarity_step(prev_pts, new_pts, previous.anchor_px)
-    patches = np.array(kept_patch) if kept_patch else np.zeros((0, 2 * pr + 1, 2 * pr + 1))
+    patches = previous.patches[keep]
     ref_z = previous.ref_z
 
     # refresh templates after a meaningful depth (scale) change; stored

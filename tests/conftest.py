@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from safeland.params import Params
-from safeland.scene import (DepthFrame, Scenario, build_world, nadir_camera,
-                            render_true_depth)
+from safeland.scene import (DepthFrame, Scenario, build_world, load_scenario,
+                            nadir_camera, render_true_depth)
+from safeland.simloop import run_episode
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -59,3 +60,30 @@ def synthetic_frame(depth: np.ndarray, valid: np.ndarray | None = None,
                           focal_length=focal)
     return DepthFrame(t=0, depth=np.where(valid, depth, 0.0), valid=valid,
                       intensity=intensity, camera=camera)
+
+
+class _EnoughFrames(Exception):
+    pass
+
+
+@pytest.fixture(scope="session")
+def episode_frames(params):
+    """World and the first sensed frames of a short seed-0 episode of each
+    shipped scenario: poses and images the closed loop really produces."""
+    out = {}
+    for name in ("flat", "cluttered", "undersized"):
+        scenario = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+        frames = []
+
+        def keep(event, data):
+            if event in ("scan_frame", "exec_frame"):
+                frames.append(data["frame"])
+                if len(frames) == 6:
+                    raise _EnoughFrames
+
+        try:
+            run_episode(scenario, params, 0, observer=keep)
+        except _EnoughFrames:
+            pass
+        out[name] = (build_world(scenario), frames)
+    return out

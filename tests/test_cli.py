@@ -2,6 +2,7 @@ import csv
 
 import pytest
 
+from safeland import cli
 from safeland.cli import (EXIT_CONFIG, EXIT_CRASHED, EXIT_IO, EXIT_OK,
                           EXIT_TIMEOUT, main, parse_overrides, parse_seeds)
 from safeland.params import ConfigError, Params, apply_overrides
@@ -46,6 +47,18 @@ class TestParsing:
             apply_overrides(Params(), {"bogus": "1"})
 
 
+def write_wall_scenario(tmp_path, start="[1.0, 1.0]"):
+    """A scene whose scan at 1 m altitude flies into a 2 m box on its first row
+    (or starts inside it, from ``start`` [3.0, 1.0])."""
+    scenario = tmp_path / "wall.yaml"
+    scenario.write_text(
+        "name: wall\nterrain: flat\nextent: [6.0, 5.0]\ntexture_seed: 5\n"
+        f"altitude: 1.0\nstart: {start}\n"
+        "obstacles:\n  - center: [3.0, 1.0]\n    extents: [0.6, 0.6]\n"
+        "    height: 2.0\n")
+    return scenario
+
+
 class TestMain:
     def test_invalid_override_exits_with_config_error(self, tmp_path, capsys):
         code = main([str(SCENARIO_DIR / "flat.yaml"), "--set", "alpha=1.2",
@@ -57,6 +70,27 @@ class TestMain:
     def test_missing_scenario_is_io_error(self, tmp_path, capsys):
         code = main([str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])
         assert code == EXIT_IO
+
+    def test_output_path_that_is_a_file_is_io_error_before_any_episode(
+            self, tmp_path, capsys, monkeypatch):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, "run_episode", no_episode)
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory\n")
+        code = main([str(SCENARIO_DIR / "flat.yaml"), "--out", str(blocker)])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error:") and "Traceback" not in err
+
+    def test_unwritable_output_file_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "summary.csv").mkdir(parents=True)   # the CSV cannot be opened for writing
+        code = main([str(write_wall_scenario(tmp_path, start="[3.0, 1.0]")),
+                     "--out", str(out)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err.startswith("i/o error:")
 
     def test_unknown_emit_token_rejected(self, tmp_path):
         code = main([str(SCENARIO_DIR / "flat.yaml"), "--emit", "sparkles",
@@ -78,13 +112,7 @@ class TestMain:
             assert (tmp_path / f"tracks_{seed}.csv").exists()
 
     def test_batch_of_crashes_writes_summary_and_exits_crashed(self, tmp_path):
-        # the scan at 1 m altitude flies into a 2 m box on its first row
-        scenario = tmp_path / "wall.yaml"
-        scenario.write_text(
-            "name: wall\nterrain: flat\nextent: [6.0, 5.0]\ntexture_seed: 5\n"
-            "altitude: 1.0\nstart: [1.0, 1.0]\n"
-            "obstacles:\n  - center: [3.0, 1.0]\n    extents: [0.6, 0.6]\n"
-            "    height: 2.0\n")
+        scenario = write_wall_scenario(tmp_path)
         out = tmp_path / "out"
         code = main([str(scenario), "--seeds", "0..1", "--out", str(out)])
         assert code == EXIT_CRASHED

@@ -1,13 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from safeland.scene import (Box, NoiseModel, Scenario, build_world, corrupt,
-                            nadir_camera, render_true_depth)
+from safeland import scene
+from safeland.scene import (Box, CameraModel, NoiseModel, Scenario, build_world,
+                            corrupt, load_scenario, nadir_camera, render_true_depth)
 
 import oracles
-from conftest import make_flat_scenario
+from conftest import SCENARIO_DIR, make_flat_scenario
 
 
 class TestBuildWorld:
@@ -110,6 +112,100 @@ class TestRender:
     def test_camera_below_local_terrain_rejected(self, flat_world):
         with pytest.raises(ValueError):
             render_true_depth(flat_world, nadir_camera([3.0, 2.5, -0.5]))
+
+
+def assert_renders_like_full_march(world, camera):
+    depth, valid, intensity = oracles.render_full_march(world, camera)
+    frame = render_true_depth(world, camera)
+    assert np.array_equal(frame.depth, depth)
+    assert np.array_equal(frame.valid, valid)
+    assert np.array_equal(frame.intensity, intensity)
+    return frame
+
+
+class TestBoundedMarch:
+    """The windowed march and the box cull against the full-lattice renderer."""
+
+    @pytest.fixture(scope="class")
+    def cluttered_world(self):
+        return build_world(load_scenario(SCENARIO_DIR / "cluttered.yaml"))
+
+    @pytest.mark.parametrize("name", ["flat", "cluttered", "undersized"])
+    def test_episode_poses_render_bit_exact(self, episode_frames, name):
+        world, frames = episode_frames[name]
+        for frame in frames:
+            assert_renders_like_full_march(world, frame.camera)
+
+    def test_descent_poses_render_bit_exact(self, cluttered_world):
+        # over the landing disk, rough ground and the raised strip; at the
+        # lowest poses the march starts at the camera
+        for x, y in ((3.2, 3.5), (4.6, 2.4), (7.2, 5.3)):
+            for z in (3.0, 1.5, 0.6, 0.35):
+                assert_renders_like_full_march(
+                    cluttered_world, nadir_camera([x, y, z], yaw=0.3))
+
+    @pytest.mark.parametrize("position", [
+        (0.3, 0.4, 5.0),
+        # beyond the edge: rays enter the world late in the march, after
+        # every ray in the world has passed under the lowest terrain
+        (-0.3, 3.5, 1.5),
+    ])
+    def test_view_leaving_the_world_renders_bit_exact(self, cluttered_world, position):
+        frame = assert_renders_like_full_march(
+            cluttered_world, nadir_camera(list(position), yaw=0.2))
+        assert frame.valid.any() and not frame.valid.all()
+
+    def test_terrain_just_beyond_the_view_bounds_the_window(self):
+        # a 0.3 m ridge on the node column one cell past the view's right
+        # edge: the edge rays meet its slope above the flat ground in view
+        world = build_world(make_flat_scenario(extent=(6.0, 5.0)))
+        heights = world.heights.copy()
+        heights[:, 37] = 0.3
+        ridge = dataclasses.replace(world, heights=heights)
+        frame = assert_renders_like_full_march(ridge, nadir_camera([3.0, 2.5, 1.0]))
+        assert frame.depth[36, -1] < frame.depth[36, 48] - 0.05
+
+    def test_rays_that_do_not_descend_render_bit_exact(self, cluttered_world):
+        tilt = math.radians(75.0)
+        c, s = math.cos(tilt), math.sin(tilt)
+        tilt_x = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        flip = np.diag([1.0, -1.0, -1.0])
+        camera = CameraModel(width=16, height=12, focal_length=10.0,
+                             principal_point=(7.5, 5.5),
+                             position=np.array([4.5, 1.0, 2.0]),
+                             rotation_wc=(tilt_x @ flip).T)
+        assert not (camera.pixel_dirs_world()[..., 2] < -1e-9).all()
+        frame = assert_renders_like_full_march(cluttered_world, camera)
+        assert frame.valid.any() and not frame.valid.all()
+
+    def test_boxes_out_of_view_are_culled(self, cluttered_world, monkeypatch):
+        camera = nadir_camera([2.0, 3.5, 1.0])   # every box lies beyond this view
+        depth, valid, intensity = oracles.render_full_march(cluttered_world, camera)
+        calls = []
+        real = scene._box_intersect
+        monkeypatch.setattr(scene, "_box_intersect",
+                            lambda *args: calls.append(1) or real(*args))
+        frame = render_true_depth(cluttered_world, camera)
+        assert calls == []
+        assert np.array_equal(frame.depth, depth)
+        assert np.array_equal(frame.valid, valid)
+        assert np.array_equal(frame.intensity, intensity)
+
+    @pytest.mark.parametrize("x, y", [(5.6, 4.9), (5.6, 6.7), (4.6, 5.8), (6.6, 5.8)])
+    def test_box_at_the_edge_of_view_is_kept(self, cluttered_world, monkeypatch, x, y):
+        # the box at (5.6, 5.8) spans x 5.2..6.0 and y 5.5..6.1; 0.6 m from
+        # one of its faces, the view sees that face, nearer than the ground
+        # 1.35 m or more below the camera
+        camera = nadir_camera([x, y, 1.5])
+        calls = []
+        real = scene._box_intersect
+        monkeypatch.setattr(scene, "_box_intersect",
+                            lambda *args: calls.append(1) or real(*args))
+        frame = render_true_depth(cluttered_world, camera)
+        assert len(calls) == 1
+        assert (frame.depth[frame.valid] < 1.3).any()
+        monkeypatch.undo()
+        assert_renders_like_full_march(cluttered_world, camera)
 
 
 class TestCorrupt:

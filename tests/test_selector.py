@@ -85,6 +85,25 @@ class TestDistanceTransform:
         ref = np.where(mask, oracles.brute_force_distance_sq(~mask, True), 0)
         assert np.array_equal(mine, ref)
 
+    @settings(max_examples=80, deadline=None)
+    @given(blob=hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                  min_side=1, max_side=12)),
+           pad=st.tuples(*[st.integers(0, 10)] * 4))
+    def test_property_radius_on_bounding_box_equals_whole_frame(self, blob, pad):
+        # the mask sits anywhere in a larger frame, touching its border or not
+        top, bottom, left, right = pad
+        mask = np.pad(blob, ((top, bottom), (left, right)))
+        feas, center = inscribed_radius(mask, 0.1, 0.55)
+        if not mask.any():
+            assert center is None and feas.rho == 0.0
+            return
+        whole = inscribed_distance_sq(mask)
+        assert np.array_equal(whole, np.where(
+            mask, oracles.brute_force_distance_sq(~mask, True), 0))
+        v, u = np.unravel_index(int(np.argmax(whole)), whole.shape)
+        assert center == (int(u), int(v))
+        assert feas.rho == float(np.sqrt(float(whole[v, u])) * 0.1)
+
     def test_superset_mask_never_decreases_radius(self):
         rng = np.random.default_rng(9)
         for _ in range(20):

@@ -6,9 +6,9 @@ import pytest
 from scipy import ndimage
 
 from safeland.scene import nadir_camera
-from safeland.servo import (HOVER, FeatureSet, anchor_normalized, control,
-                            detect_and_track, detect_features, ibvs_velocity,
-                            interaction_matrix)
+from safeland.servo import (HOVER, FeatureSet, _hypot, _match_points, _warp_template,
+                            anchor_normalized, control, detect_and_track,
+                            detect_features, ibvs_velocity, interaction_matrix)
 
 import oracles
 
@@ -74,6 +74,84 @@ class TestTracking:
         assert len(pts) > 0
         assert np.all((pts[:, 0] >= 30) & (pts[:, 0] < 70))
         assert np.all((pts[:, 1] >= 20) & (pts[:, 1] < 50))
+
+
+def match_like_reference(intensity, templates, points, params):
+    """Batched matches, asserted bit-equal to the per-point reference."""
+    pr, sr = params.patch_radius, params.search_radius
+    hits, matched = _match_points(intensity, templates, points, sr, pr, params.mse_max)
+    for k in range(points.shape[0]):
+        ref = oracles.match_point(intensity, templates[k], points[k, 0], points[k, 1],
+                                  sr, pr, params.mse_max)
+        assert bool(matched[k]) == (ref is not None), k
+        if ref is not None:
+            assert (hits[k, 0], hits[k, 1]) == ref, k
+    return hits, matched
+
+
+class TestBatchedMatcher:
+    """The batched matcher and refiner against the per-point reference."""
+
+    @pytest.mark.parametrize("name", ["flat", "cluttered", "undersized"])
+    def test_episode_frames_match_bit_exact(self, episode_frames, params, name):
+        # features detected on one frame, matched on the next with the
+        # template warped by the change in camera height
+        _, frames = episode_frames[name]
+        for a, b in zip(frames[:-1], frames[1:]):
+            fs = detect_and_track(a.intensity, a.valid, None, params, z_now=5.0)
+            assert fs.n_t > 0
+            scale = float(a.camera.position[2] / b.camera.position[2])
+            templates = _warp_template(fs.patches, scale)
+            for k in range(fs.n_t):
+                assert np.array_equal(templates[k],
+                                      oracles.warp_template(fs.patches[k], scale))
+            match_like_reference(b.intensity, templates, fs.points, params)
+
+    def test_mixed_batch_matches_bit_exact(self, params):
+        """One batch holding every way a point can end its match."""
+        pr = params.patch_radius
+        h, w = 72, 96
+        img = textured_image(seed=4)
+        ramp_v = np.arange(h)[:, None]
+        ramp_u = np.arange(w)[None, :]
+        img[:, 48:] = (0.01 * ramp_u + 0.05 * np.sin(0.7 * ramp_v))[:, 48:]
+        img[46:, 8:45] = 0.5 + 1e-4 * ramp_u[:, 8:45]       # nearly flat block
+
+        def patch_at(u, v):
+            return img[v - pr: v + pr + 1, u - pr: u + pr + 1].copy()
+
+        cases = [
+            ((20.0, 20.0), patch_at(20, 20)),                # exact: zero SSD
+            ((5.0, 5.0), oracles.sample_patch(img, 6.3, 7.4, pr)),  # clipped window
+            ((6.0, 30.0), patch_at(4, 30)),                  # best on the first valid column
+            ((90.0, 66.0), patch_at(88, 65)),                # clipped at the far corner
+            ((26.0, 58.0), oracles.sample_patch(img, 26.3, 58.0, pr)),  # det <= 1e-18
+            ((62.0, 36.0), patch_at(76, 36)),                # runaway refinement
+            ((-30.0, 36.0), patch_at(20, 20)),               # empty window
+            ((30.0, 30.0), np.random.default_rng(0).random((2 * pr + 1,) * 2)),  # no match
+        ]
+        points = np.array([c[0] for c in cases])
+        templates = np.array([c[1] for c in cases])
+        hits, matched = match_like_reference(img, templates, points, params)
+        assert list(matched) == [True, True, True, True, True, True, False, False]
+        assert tuple(hits[0]) == (20.0, 20.0)                # zero drift
+        assert tuple(hits[2]) == (4.0, 30.0)
+        # the faint ramp has no vertical gradient: the first Gauss-Newton
+        # step is singular, so the point stays on its SSD answer although
+        # a step would move it 0.3 px toward the template
+        assert tuple(hits[4]) == (26.0, 50.0)
+        # the runaway point keeps its SSD answer, the window edge, although
+        # its first Gauss-Newton step alone moves it a whole pixel
+        assert tuple(hits[5]) == (72.0, 36.0)
+        one_step = oracles.subpixel_refine(img, templates[5], 72.0, 36.0, pr, iters=1)
+        assert one_step[0] == pytest.approx(73.0, abs=1e-9)
+
+    def test_step_lengths_are_math_hypot(self):
+        # np.hypot differs from math.hypot in the last bit on a few of
+        # these inputs on common libms
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((2, 200_000))
+        assert np.array_equal(_hypot(x, y), np.array(list(map(math.hypot, x, y))))
 
 
 class TestInteractionMatrix:
