@@ -69,13 +69,17 @@ class RunConfig:
 
 
 def parse_seeds(text: str) -> list[int]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise ConfigError(f"empty seed range '{text}'")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    """A seed ``N`` or an inclusive range ``LO..HI`` of non-negative integers."""
+    bounds = text.split("..", 1)
+    try:
+        lo, hi = int(bounds[0]), int(bounds[-1])
+    except ValueError:
+        raise ConfigError(f"--seeds expects N or LO..HI, got '{text}'") from None
+    if lo < 0:
+        raise ConfigError(f"seeds must be non-negative, got '{text}'")
+    if hi < lo:
+        raise ConfigError(f"empty seed range '{text}'")
+    return list(range(lo, hi + 1))
 
 
 def parse_overrides(pairs: list[str]) -> dict[str, str]:

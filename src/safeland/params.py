@@ -113,10 +113,8 @@ _DOMAINS: dict[str, tuple[float | None, float | None, bool, bool]] = {
 # config files and --set use "lambda"; the attribute is `lam` (reserved word)
 _ALIASES = {"lambda": "lam"}
 
-_INT_FIELDS = {
-    "obstacle_k", "screen_k", "a_min", "track_grace", "n_min", "n_max",
-    "patch_radius", "search_radius", "commit_window_px", "f_max", "f_max_exec",
-}
+# the module's annotations are strings (``from __future__ import annotations``)
+_INT_FIELDS = {f.name for f in fields(Params) if f.type == "int"}
 
 
 def domain_text(symbol: str) -> str:

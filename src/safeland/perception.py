@@ -133,20 +133,17 @@ def extract_regions(frame: DepthFrame, params: Params,
     if screen is None:
         screen = screen_frame(frame, params)
     candidate = screen.pass_mask | ~frame.valid
-    labels, n_labels = ndimage.label(candidate, structure=_FOUR_CONNECTED)
-    if n_labels == 0:
-        return []
-
+    labels, _ = ndimage.label(candidate, structure=_FOUR_CONNECTED)
     regions: list[RegionMask] = []
     world = screen.world_points
-    for lab in range(1, n_labels + 1):
+    areas = np.bincount(labels.ravel())
+    areas[0] = 0   # the background
+    for lab in np.flatnonzero(areas >= params.a_min):
         comp = labels == lab
-        area = int(comp.sum())
-        if area < params.a_min:
-            continue
+        area = int(areas[lab])
         comp_valid = comp & frame.valid
         n_valid = int(comp_valid.sum())
-        if area == 0 or n_valid == 0:
+        if n_valid == 0:
             continue
         if 1.0 - n_valid / area > params.max_invalid_frac:
             continue

@@ -1,4 +1,4 @@
-"""Procedural test worlds and a noisy downward-looking depth camera.
+"""Procedural test worlds and a noisy depth camera that looks straight down.
 
 Conventions used throughout the package:
 
@@ -11,15 +11,17 @@ Conventions used throughout the package:
 * Invalid pixels are carried in an explicit boolean mask, never encoded
   as zero or NaN depth.
 
-Rendering casts one ray per pixel against the heightfield (fixed-step
-march at half the ground resolution, one bisection plus a secant
-refinement on the bracketing interval) and against axis-aligned boxes
-(exact slab test). The march lattice is shared by the frame and spans
-the global height range, but only the window of it that can hold a
-ray's first sample under the terrain is evaluated: it is bounded by the
-highest and lowest terrain under the view's ground footprint. A view
-with a ray that does not descend, or whose footprint leaves the
-heightfield, marches the whole lattice. Boxes that no ray of the view
+Rendering takes a level nadir camera only (every world ray has a
+z-component of exactly -1.0; any other camera raises ``ValueError``). It
+casts one ray per pixel against the heightfield (fixed-step march at
+half the ground resolution, one bisection plus a secant refinement on
+the bracketing interval) and against axis-aligned boxes (exact slab
+test). Every ray shares one 1-D march lattice that spans the global
+height range, so sample k sits at the same height on every ray; only
+the window of the lattice that can hold a ray's first sample under the
+terrain is evaluated, bounded by the highest and lowest terrain under
+the view's ground footprint. A view whose footprint leaves the
+heightfield marches the whole lattice. Boxes that no ray of the view
 can reach are not slab-tested. Both bounds leave every result bit for
 bit as the full march gives it. Rendering and corruption are pure
 functions; the RNG for corruption is passed explicitly.
@@ -401,14 +403,14 @@ def _box_intersect(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray,
 
 def _box_in_view(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray,
                  hi: np.ndarray, margin: float) -> bool:
-    """Whether a view of descending rays can reach the box at all.
+    """Whether a nadir view can reach the box at all.
 
-    A descending ray meets the box no farther than where it crosses the
-    plane of the box's base, so its ground position there lies between
-    the camera's and that crossing. A box whose footprint, grown by
+    A ray meets the box no farther than where it crosses the plane of
+    the box's base, so its ground position there lies between the
+    camera's and that crossing. A box whose footprint, grown by
     ``margin``, misses the bounds of those positions is out of view.
     """
-    t_base = max(float(origin[2] - lo[2]), 0.0) / -dirs[..., 2]
+    t_base = max(float(origin[2] - lo[2]), 0.0)
     for axis in (0, 1):
         reach = origin[axis] + t_base * dirs[..., axis]
         if (min(float(reach.min()), origin[axis]) > hi[axis] + margin
@@ -421,20 +423,21 @@ def _march_window(world: World, origin: np.ndarray, dirs: np.ndarray,
                   ts: np.ndarray) -> tuple[int, int]:
     """Lattice indices [k_lo, k_hi] holding each ray's first hit and the sample before.
 
-    A hit is a sample under the terrain. ``ts`` is the (n+1, H, W) march lattice of a view whose rays all
-    descend. The terrain under the view's ground footprint, grown by one
-    cell, lies between ``lo`` and ``hi``: no sample above ``hi`` is under
-    it and every sample below ``lo`` is, so the first sample under the
-    terrain falls between the first sample any ray takes under ``hi`` and
-    the first by which every ray is under ``lo`` (the one-level case of a
-    maximum mipmap). A footprint that leaves the heightfield keeps the
-    whole lattice: a sample past the edge is never under the terrain, so
-    a ray outside the heightfield at ``k_hi`` may meet the terrain later.
+    A hit is a sample under the terrain. ``ts`` is the (n+1,) lattice
+    every ray shares: sample k sits at height ``cam_z - ts[k]`` on each.
+    The terrain under the view's ground footprint, grown by one cell,
+    lies between ``lo`` and ``hi``: no sample above ``hi`` is under it
+    and every sample below ``lo`` is, so the first hit falls between the
+    first sample under ``hi`` and the first under ``lo`` (the one-level
+    case of a maximum mipmap). A footprint that leaves the heightfield
+    keeps the whole lattice: a sample past the edge is never under the
+    terrain, so a ray outside the heightfield at ``k_hi`` may meet the
+    terrain later.
     """
     n = ts.shape[0] - 1
     cells = []
     for axis, size in ((1, world.heights.shape[0]), (0, world.heights.shape[1])):
-        ends = (origin[axis] + ts[[0, n]] * dirs[..., axis]) / world.resolution
+        ends = (origin[axis] + ts[[0, n], None, None] * dirs[..., axis]) / world.resolution
         first, last = float(ends.min()), float(ends.max())
         if first < 0.0 or last > size - 1:
             return 0, n
@@ -443,16 +446,17 @@ def _march_window(world: World, origin: np.ndarray, dirs: np.ndarray,
     # the margin covers the rounding of bilinear interpolation
     hi = float(view.max()) + _MARCH_MARGIN
     lo = float(view.min()) - _MARCH_MARGIN
-    pz = (origin[2] + ts * dirs[..., 2]).reshape(n + 1, -1)
-    some_under = pz.min(axis=1) <= hi
-    all_under = pz.max(axis=1) <= lo
-    k_lo = int(np.argmax(some_under)) if some_under.any() else n
-    k_hi = int(np.argmax(all_under)) if all_under.any() else n
+    pz = origin[2] - ts   # falls along the lattice: count the samples above a level
+    k_lo = min(int(np.count_nonzero(pz > hi)), n)
+    k_hi = min(int(np.count_nonzero(pz > lo)), n)
     return max(k_lo - 1, 0), k_hi
 
 
 def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
-    """Noise-free depth + intensity render of the world from the camera."""
+    """Noise-free depth + intensity render of the world from a nadir camera."""
+    dirs = camera.pixel_dirs_world()          # (H, W, 3), unit z-depth parameterization
+    if not (dirs[..., 2] == -1.0).all():
+        raise ValueError("camera must look straight down")
     cam_z = float(camera.position[2])
     local = world.height_at(camera.position[0], camera.position[1])
     if float(local) > _EXIT_HEIGHT / 2 and cam_z <= float(local):
@@ -465,12 +469,8 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
         if inside:
             raise ValueError("camera must not be inside an obstacle")
 
-    dirs = camera.pixel_dirs_world()          # (H, W, 3), unit z-depth parameterization
     origin = camera.position
     h, w = camera.height, camera.width
-    dz = dirs[..., 2]
-    descending = dz < -1e-9
-    all_descending = bool(descending.all())
 
     t_box = np.full((h, w), np.inf)
     box_shade = np.ones((h, w))
@@ -480,56 +480,51 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
                        box.center[1] - box.extents[1] / 2.0, base])
         hi = np.array([box.center[0] + box.extents[0] / 2.0,
                        box.center[1] + box.extents[1] / 2.0, base + box.height])
-        if all_descending and not _box_in_view(origin, dirs, lo, hi, world.resolution):
+        if not _box_in_view(origin, dirs, lo, hi, world.resolution):
             continue
         t = _box_intersect(origin, dirs, lo, hi)
         closer = t < t_box
         t_box = np.where(closer, t, t_box)
         box_shade = np.where(closer, 0.85, box_shade)
 
+    # one lattice for every ray, set by the global height range; only the
+    # part of it that can hold a ray's first hit is evaluated
     step = world.resolution * 0.5
     hmax = float(world.heights.max())
     hmin = float(world.heights.min())
-    inv_rate = np.where(descending, -dz, 1.0)
-    t_lo = np.where(descending, np.maximum((cam_z - hmax) / inv_rate - step, 1e-6), 0.0)
-    t_hi = np.where(descending, (cam_z - hmin) / inv_rate + step, 0.0)
-    t_hi = np.minimum(t_hi, _MAX_RANGE)
+    t_lo = max(cam_z - hmax - step, 1e-6)
+    t_hi = min(cam_z - hmin + step, _MAX_RANGE)
+    span = t_hi - t_lo
 
     t_terrain = np.full((h, w), np.inf)
-    span = np.maximum(np.where(descending, t_hi - t_lo, 0.0), 0.0)
-    max_span = float(span.max()) if span.size else 0.0
-    if max_span > 0.0:
-        # one lattice for the frame, set by the global height range; only
-        # the part of it that can hold a ray's first hit is evaluated
-        n = int(math.ceil(max_span / step)) + 1
+    if span > 0.0:   # else all terrain is out of range, or above a camera off the heightfield
+        n = int(math.ceil(span / step)) + 1
         n = max(n, 2)
         ks = np.arange(n + 1, dtype=float) / n          # (n+1,)
-        ts = t_lo[None, ...] + ks[:, None, None] * span[None, ...]
-        if all_descending:
-            k_lo, k_hi = _march_window(world, origin, dirs, ts)
-            ts = ts[k_lo:k_hi + 1]
-        px = origin[0] + ts * dirs[..., 0][None, ...]
-        py = origin[1] + ts * dirs[..., 1][None, ...]
-        pz = cam_z + ts * dz[None, ...]
-        g = pz - world.height_at(px, py)
+        ts = t_lo + ks * span                           # (n+1,), every ray's lattice
+        k_lo, k_hi = _march_window(world, origin, dirs, ts)
+        ts = ts[k_lo:k_hi + 1]
+        px = origin[0] + ts[:, None, None] * dirs[..., 0]
+        py = origin[1] + ts[:, None, None] * dirs[..., 1]
+        pz = cam_z - ts                                 # the height of sample k on every ray
+        g = pz[:, None, None] - world.height_at(px, py)
         below = g <= 0.0
-        any_hit = below.any(axis=0) & descending
+        any_hit = below.any(axis=0)
         first = np.argmax(below, axis=0)
         first = np.maximum(first, 1)  # g > 0 at the window start by construction
 
         iy, ix = np.nonzero(any_hit)
         if iy.size:
             k1 = first[iy, ix]
-            ta = ts[k1 - 1, iy, ix]
-            tb = ts[k1, iy, ix]
+            ta = ts[k1 - 1]
+            tb = ts[k1]
             ga = g[k1 - 1, iy, ix]
             gb = g[k1, iy, ix]
 
             def g_of(tq):
                 pxq = origin[0] + tq * dirs[iy, ix, 0]
                 pyq = origin[1] + tq * dirs[iy, ix, 1]
-                pzq = cam_z + tq * dz[iy, ix]
-                return pzq - world.height_at(pxq, pyq)
+                return (cam_z - tq) - world.height_at(pxq, pyq)
 
             tm = 0.5 * (ta + tb)
             gm = g_of(tm)

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import fields
 
 import pytest
 
@@ -25,6 +26,26 @@ class TestParsing:
     def test_bad_seed_range_rejected(self):
         with pytest.raises(ConfigError):
             parse_seeds("5..2")
+
+    @pytest.mark.parametrize("text", ["abc", "1..x", "5..", "-3", "-3..2", "2.5"])
+    def test_malformed_or_negative_seeds_rejected(self, text):
+        with pytest.raises(ConfigError):
+            parse_seeds(text)
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(Params) if f.type == "int"])
+    def test_int_field_rejects_fraction(self, field):
+        with pytest.raises(ConfigError, match="cannot parse"):
+            apply_overrides(Params(), {field: "3.5"})
+
+    @pytest.mark.parametrize("field", [f.name for f in fields(Params) if f.type == "float"])
+    def test_float_field_parses_fraction(self, field):
+        # parsed as 3.5, then set or refused by the field's domain alone
+        try:
+            params = apply_overrides(Params(), {field: "3.5"})
+        except ConfigError as exc:
+            assert "outside domain" in str(exc)
+        else:
+            assert getattr(params, field) == 3.5
 
     def test_override_pairs(self):
         assert parse_overrides(["alpha=0.9", "tau=0.8"]) == {
@@ -91,6 +112,19 @@ class TestMain:
                      "--out", str(out)])
         assert code == EXIT_IO
         assert capsys.readouterr().err.startswith("i/o error:")
+
+    @pytest.mark.parametrize("seeds", ["abc", "1..x", "-3"])
+    def test_bad_seeds_exit_with_config_error_before_any_episode(
+            self, tmp_path, capsys, monkeypatch, seeds):
+        def no_episode(*args, **kwargs):
+            raise AssertionError("an episode ran before the seeds were checked")
+
+        monkeypatch.setattr(cli, "run_episode", no_episode)
+        code = main([str(SCENARIO_DIR / "flat.yaml"), "--seeds", seeds,
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
     def test_unknown_emit_token_rejected(self, tmp_path):
         code = main([str(SCENARIO_DIR / "flat.yaml"), "--emit", "sparkles",

@@ -107,6 +107,17 @@ class TestExtractRegions:
         areas = [r.area_px for r in regions]
         assert areas == sorted(areas, reverse=True)
 
+    def test_region_of_exactly_a_min_pixels_is_kept(self, params):
+        sc = make_flat_scenario(extent=(9.0, 7.0), obstacles=(
+            Box(center=(3.0, 3.5), extents=(0.2, 7.0), height=1.0),))
+        frame = render_true_depth(build_world(sc), nadir_camera([4.5, 3.5, 5.0]))
+        areas = [r.area_px for r in extract_regions(frame, params)]
+        smallest = areas[-1]
+        at_min = extract_regions(frame, dataclasses.replace(params, a_min=smallest))
+        assert [r.area_px for r in at_min] == areas
+        above_min = extract_regions(frame, dataclasses.replace(params, a_min=smallest + 1))
+        assert [r.area_px for r in above_min] == [a for a in areas if a > smallest]
+
 
 class TestFitPlane:
     def test_exact_level_plane(self, params):

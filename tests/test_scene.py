@@ -165,7 +165,8 @@ class TestBoundedMarch:
         frame = assert_renders_like_full_march(ridge, nadir_camera([3.0, 2.5, 1.0]))
         assert frame.depth[36, -1] < frame.depth[36, 48] - 0.05
 
-    def test_rays_that_do_not_descend_render_bit_exact(self, cluttered_world):
+    def test_camera_that_does_not_look_straight_down_is_rejected(self, cluttered_world):
+        # tilted 75 degrees off nadir: some of its rays do not descend
         tilt = math.radians(75.0)
         c, s = math.cos(tilt), math.sin(tilt)
         tilt_x = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
@@ -175,8 +176,8 @@ class TestBoundedMarch:
                              position=np.array([4.5, 1.0, 2.0]),
                              rotation_wc=(tilt_x @ flip).T)
         assert not (camera.pixel_dirs_world()[..., 2] < -1e-9).all()
-        frame = assert_renders_like_full_march(cluttered_world, camera)
-        assert frame.valid.any() and not frame.valid.all()
+        with pytest.raises(ValueError, match="camera must look straight down"):
+            render_true_depth(cluttered_world, camera)
 
     def test_boxes_out_of_view_are_culled(self, cluttered_world, monkeypatch):
         camera = nadir_camera([2.0, 3.5, 1.0])   # every box lies beyond this view

@@ -2,13 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safeland.params import Params
 from safeland.scene import Box, NoiseModel, Scenario, nadir_camera
 from safeland.servo import HOVER, VelocityCommand
 from safeland.simloop import (VehicleState, command_to_world,
-                              lawnmower_waypoints, run_episode, step_vehicle,
-                              step_vehicle_world)
+                              lawnmower_waypoints, make_camera, run_episode,
+                              step_vehicle, step_vehicle_world)
 
 import oracles
 from conftest import make_flat_scenario
@@ -66,6 +68,21 @@ def flat_episode():
     scenario = make_flat_scenario()
     params = Params(f_max=50)
     return run_episode(scenario, params, seed=0), params
+
+
+class TestCamera:
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.floats(-50.0, 50.0), y=st.floats(-50.0, 50.0),
+           z=st.floats(0.01, 100.0), yaw=st.floats(-10.0, 10.0),
+           width=st.integers(1, 200), height=st.integers(1, 200),
+           focal=st.floats(1.0, 1000.0))
+    def test_every_loop_camera_looks_straight_down(self, x, y, z, yaw, width,
+                                                   height, focal):
+        # the renderer accepts only cameras whose rays all have z = -1.0
+        scenario = Scenario(camera_width=width, camera_height=height,
+                            camera_focal=focal)
+        camera = make_camera(scenario, np.array([x, y, z]), yaw)
+        assert (camera.pixel_dirs_world()[..., 2] == -1.0).all()
 
 
 class TestEpisode:
