@@ -138,32 +138,42 @@ def extract_regions(frame: DepthFrame, params: Params,
     world = screen.world_points
     areas = np.bincount(labels.ravel())
     areas[0] = 0   # the background
+    boxes = ndimage.find_objects(labels)
     for lab in np.flatnonzero(areas >= params.a_min):
-        comp = labels == lab
+        box = boxes[lab - 1]   # every pixel of the region lies in its bounding box
+        comp = labels[box] == lab
         area = int(areas[lab])
-        comp_valid = comp & frame.valid
+        comp_valid = comp & frame.valid[box]
         n_valid = int(comp_valid.sum())
-        if n_valid == 0:
-            continue
-        if 1.0 - n_valid / area > params.max_invalid_frac:
+        if n_valid == 0 or 1.0 - n_valid / area > params.max_invalid_frac:
             continue
         vs, us = np.nonzero(comp)
-        centroid = (float(us.mean()), float(vs.mean()))
-        pts = world[comp_valid]
-        cells = np.unique(
-            np.floor(pts[:, :2] / params.assoc_res).astype(np.int64), axis=0)
+        centroid = (float((us + box[1].start).mean()), float((vs + box[0].start).mean()))
+        pts = world[box][comp_valid]
+        cells = _unique_cells(np.floor(pts[:, :2] / params.assoc_res).astype(np.int64))
+        pixels = np.zeros(labels.shape, dtype=bool)
+        pixels[box] = comp
         regions.append(RegionMask(
-            pixels=comp,
+            pixels=pixels,
             area_px=area,
             centroid_px=centroid,
             ground_footprint=cells,
             footprint_res=params.assoc_res,
-            mean_depth=float(frame.depth[comp_valid].mean()),
+            mean_depth=float(frame.depth[box][comp_valid].mean()),
             valid_fraction=n_valid / area,
             camera=frame.camera,
         ))
     regions.sort(key=lambda r: -r.area_px)
     return regions
+
+
+def _unique_cells(cells: np.ndarray) -> np.ndarray:
+    """``np.unique(cells, axis=0)`` of (N, 2) int64 cells, via one int64 key per row."""
+    lo = cells.min(axis=0)
+    rel = cells - lo
+    span = int(rel[:, 1].max()) + 1
+    keys = np.unique(rel[:, 0] * span + rel[:, 1])
+    return np.stack([keys // span, keys % span], axis=1) + lo
 
 
 def tls_plane(points: np.ndarray) -> PlaneFit | None:
@@ -200,9 +210,10 @@ def fit_plane(frame: DepthFrame, mask: RegionMask | np.ndarray) -> PlaneFit | No
     sel = pix & frame.valid
     if int(sel.sum()) < 3:
         return None
-    dirs = frame.camera.pixel_dirs_camera()[sel]
-    pts = dirs * frame.depth[sel][:, None]     # camera-frame points
-    return tls_plane(pts)
+    vs, us = np.nonzero(sel)
+    xn, yn = frame.camera.normalized(us, vs)
+    d = frame.depth[sel]
+    return tls_plane(np.stack([xn * d, yn * d, d], axis=-1))   # camera-frame points
 
 
 def gravity_in_camera(camera: CameraModel) -> np.ndarray:

@@ -24,32 +24,6 @@ def write_pgm(path: str | Path, image: np.ndarray, maxval: int) -> None:
         fh.write(arr.tobytes())
 
 
-def read_pgm(path: str | Path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"P5"):
-        raise ValueError("not a binary PGM file")
-    # header: magic, width, height, maxval, then raster
-    fields: list[bytes] = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
-    width, height, maxval = (int(f) for f in fields)
-    dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
-    raster = np.frombuffer(data, dtype=dtype, offset=pos, count=width * height)
-    return raster.reshape(height, width).astype(np.uint16 if maxval >= 256 else np.uint8)
-
-
 def depth_to_pgm(path: str | Path, depth: np.ndarray, valid: np.ndarray) -> None:
     """16-bit depth in millimeters; invalid pixels written as 0."""
     mm = np.where(valid, np.clip(np.round(depth * 1000.0), 1, 65535), 0)

@@ -11,20 +11,22 @@ Conventions used throughout the package:
 * Invalid pixels are carried in an explicit boolean mask, never encoded
   as zero or NaN depth.
 
-Rendering takes a level nadir camera only (every world ray has a
-z-component of exactly -1.0; any other camera raises ``ValueError``). It
+Rendering takes the level nadir camera only (image right along world x,
+image down along world -y; any other camera raises ``ValueError``). It
 casts one ray per pixel against the heightfield (fixed-step march at
 half the ground resolution, one bisection plus a secant refinement on
 the bracketing interval) and against axis-aligned boxes (exact slab
 test). Every ray shares one 1-D march lattice that spans the global
-height range, so sample k sits at the same height on every ray; only
-the window of the lattice that can hold a ray's first sample under the
-terrain is evaluated, bounded by the highest and lowest terrain under
-the view's ground footprint. A view whose footprint leaves the
+height range, so sample k sits at the same height on every ray, and a
+ray's world x depends on its column alone and its y on its row alone,
+so the heightfield lookup forms its indices and weights per column and
+per row. Only the window of the lattice that can hold a ray's first
+sample under the terrain is evaluated, bounded by the highest and lowest
+terrain under the view's ground footprint; a footprint that leaves the
 heightfield marches the whole lattice. Boxes that no ray of the view
-can reach are not slab-tested. Both bounds leave every result bit for
-bit as the full march gives it. Rendering and corruption are pure
-functions; the RNG for corruption is passed explicitly.
+can reach are not slab-tested. None of this changes a result bit from
+the full per-pixel march. Rendering and corruption are pure functions;
+the RNG for corruption is passed explicitly.
 """
 from __future__ import annotations
 
@@ -98,9 +100,7 @@ class CameraModel:
 
     def pixel_dirs_camera(self) -> np.ndarray:
         """(H, W, 3) per-pixel direction in camera coords, scaled to unit z-depth."""
-        cx, cy = self.principal_point
-        xn = (np.arange(self.width) - cx) / self.focal_length
-        yn = (np.arange(self.height) - cy) / self.focal_length
+        xn, yn = self.normalized(np.arange(self.width), np.arange(self.height))
         dirs = np.empty((self.height, self.width, 3))
         dirs[..., 0] = xn[None, :]
         dirs[..., 1] = yn[:, None]
@@ -124,17 +124,18 @@ class CameraModel:
         return pts_cam @ self.rotation_cw.T + self.position
 
 
-def nadir_camera(position, yaw: float = 0.0, *, width: int = 96, height: int = 72,
+# world -> camera rotation of the level nadir camera (optical axis along world -z)
+_NADIR_WC = np.diag([1.0, -1.0, -1.0])
+_NADIR_WC.setflags(write=False)
+
+
+def nadir_camera(position, *, width: int = 96, height: int = 72,
                  focal_length: float = 72.0) -> CameraModel:
-    """Level downward-looking camera: image right = world x at yaw 0."""
-    c, s = math.cos(yaw), math.sin(yaw)
-    rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    flip = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
-    r_cw = rz @ flip
+    """Level downward-looking camera: image right = world x, image down = world -y."""
     return CameraModel(
         width=width, height=height, focal_length=focal_length,
         principal_point=((width - 1) / 2.0, (height - 1) / 2.0),
-        position=np.asarray(position, dtype=float), rotation_wc=r_cw.T,
+        position=np.asarray(position, dtype=float), rotation_wc=_NADIR_WC,
     )
 
 
@@ -159,10 +160,15 @@ def _bilinear_grid(grid: np.ndarray, resolution: float, x, y,
     j0 = np.minimum(yc.astype(np.int64), ny - 2)
     fx = xc - i0
     fy = yc - j0
-    v = (grid[j0, i0] * (1.0 - fx) * (1.0 - fy)
-         + grid[j0, i0 + 1] * fx * (1.0 - fy)
-         + grid[j0 + 1, i0] * (1.0 - fx) * fy
-         + grid[j0 + 1, i0 + 1] * fx * fy)
+    ex, ey = 1.0 - fx, 1.0 - fy
+    i1, j1 = i0 + 1, j0 + 1
+    # corner by corner, in place: (g00 * ex * ey + g01 * fx * ey) + ... in that order
+    v = grid[j0, i0] * ex
+    v *= ey
+    for j, i, wx, wy in ((j0, i1, fx, ey), (j1, i0, ex, fy), (j1, i1, fx, fy)):
+        term = grid[j, i] * wx
+        term *= wy
+        v += term
     return np.where(inside, v, out_of_bounds)
 
 
@@ -279,6 +285,8 @@ class Scenario:
             raise ValueError(f"unknown terrain type '{self.terrain}'")
         if min(self.extent) <= 0.0:
             raise ValueError("extent must be positive")
+        if self.camera_width < 1 or self.camera_height < 1 or not self.camera_focal > 0.0:
+            raise ValueError("camera_width, camera_height and camera_focal must be positive")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -380,29 +388,36 @@ def build_world(scenario: Scenario) -> World:
 # rendering
 # --------------------------------------------------------------------------
 
-def _box_intersect(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray,
-                   hi: np.ndarray) -> np.ndarray:
-    """First-hit ray parameter per pixel for one axis-aligned box (inf = miss)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / dirs
-        t0 = (lo - origin) * inv
-        t1 = (hi - origin) * inv
-    near = np.minimum(t0, t1)
-    far = np.maximum(t0, t1)
-    # axis-parallel rays: hit only if origin within the slab on that axis
-    par = np.abs(dirs) < 1e-12
-    inside = (origin >= lo) & (origin <= hi)
-    near = np.where(par, np.where(inside, -np.inf, np.inf), near)
-    far = np.where(par, np.where(inside, np.inf, -np.inf), far)
-    t_enter = near.max(axis=-1)
-    t_exit = far.min(axis=-1)
+def _nadir_rays(camera: CameraModel) -> tuple[np.ndarray, np.ndarray]:
+    """(W,) xd and (H,) yd: the world ray through pixel (v, u) per meter of
+    depth is (xd[u], yd[v], -1), bit for bit as pixel_dirs_world gives it."""
+    xn, yn = camera.normalized(np.arange(camera.width), np.arange(camera.height))
+    return xn, 0.0 - yn   # a zero yd is +0.0 there, not -0.0
+
+
+def _box_intersect(origin: np.ndarray, xd: np.ndarray, yd: np.ndarray,
+                   lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(H, W) first-hit parameter of the rays (xd[u], yd[v], -1) on one box (inf = miss)."""
+    t_enter, t_exit = -np.inf, np.inf
+    for axis, d in ((0, xd[None, :]), (1, yd[:, None]), (2, -1.0)):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv = 1.0 / d
+            t0 = (lo[axis] - origin[axis]) * inv
+            t1 = (hi[axis] - origin[axis]) * inv
+        # axis-parallel rays: inside the slab throughout if the origin is
+        par = np.abs(d) < 1e-12
+        inside = lo[axis] <= origin[axis] <= hi[axis]
+        t_enter = np.maximum(t_enter, np.where(par, -np.inf if inside else np.inf,
+                                               np.minimum(t0, t1)))
+        t_exit = np.minimum(t_exit, np.where(par, np.inf if inside else -np.inf,
+                                             np.maximum(t0, t1)))
     hit = (t_enter <= t_exit) & (t_exit > 0.0)
     t_hit = np.where(t_enter > 0.0, t_enter, t_exit)  # origin inside: exit face
     return np.where(hit, t_hit, np.inf)
 
 
-def _box_in_view(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray, margin: float) -> bool:
+def _box_in_view(origin: np.ndarray, xd: np.ndarray, yd: np.ndarray,
+                 lo: np.ndarray, hi: np.ndarray, margin: float) -> bool:
     """Whether a nadir view can reach the box at all.
 
     A ray meets the box no farther than where it crosses the plane of
@@ -411,15 +426,15 @@ def _box_in_view(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray,
     ``margin``, misses the bounds of those positions is out of view.
     """
     t_base = max(float(origin[2] - lo[2]), 0.0)
-    for axis in (0, 1):
-        reach = origin[axis] + t_base * dirs[..., axis]
+    for axis, d in ((0, xd), (1, yd)):
+        reach = origin[axis] + t_base * d
         if (min(float(reach.min()), origin[axis]) > hi[axis] + margin
                 or max(float(reach.max()), origin[axis]) < lo[axis] - margin):
             return False
     return True
 
 
-def _march_window(world: World, origin: np.ndarray, dirs: np.ndarray,
+def _march_window(world: World, origin: np.ndarray, xd: np.ndarray, yd: np.ndarray,
                   ts: np.ndarray) -> tuple[int, int]:
     """Lattice indices [k_lo, k_hi] holding each ray's first hit and the sample before.
 
@@ -436,8 +451,8 @@ def _march_window(world: World, origin: np.ndarray, dirs: np.ndarray,
     """
     n = ts.shape[0] - 1
     cells = []
-    for axis, size in ((1, world.heights.shape[0]), (0, world.heights.shape[1])):
-        ends = (origin[axis] + ts[[0, n], None, None] * dirs[..., axis]) / world.resolution
+    for axis, d, size in ((1, yd, world.heights.shape[0]), (0, xd, world.heights.shape[1])):
+        ends = (origin[axis] + ts[[0, n], None] * d) / world.resolution
         first, last = float(ends.min()), float(ends.max())
         if first < 0.0 or last > size - 1:
             return 0, n
@@ -452,11 +467,19 @@ def _march_window(world: World, origin: np.ndarray, dirs: np.ndarray,
     return max(k_lo - 1, 0), k_hi
 
 
+def _lattice_heights(world: World, origin: np.ndarray, xd: np.ndarray,
+                     yd: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """(K, H, W) terrain height under sample k of the ray through (v, u), which lies
+    over (px[k, u], py[k, v]): the lookup's indices and weights are per column and row."""
+    px = origin[0] + ts[:, None] * xd               # (K, W)
+    py = origin[1] + ts[:, None] * yd               # (K, H)
+    return world.height_at(px[:, None, :], py[:, :, None])
+
+
 def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
-    """Noise-free depth + intensity render of the world from a nadir camera."""
-    dirs = camera.pixel_dirs_world()          # (H, W, 3), unit z-depth parameterization
-    if not (dirs[..., 2] == -1.0).all():
-        raise ValueError("camera must look straight down")
+    """Noise-free depth + intensity render of the world from the nadir camera."""
+    if not np.array_equal(camera.rotation_wc, _NADIR_WC):
+        raise ValueError("camera must look straight down, image right along world x")
     cam_z = float(camera.position[2])
     local = world.height_at(camera.position[0], camera.position[1])
     if float(local) > _EXIT_HEIGHT / 2 and cam_z <= float(local):
@@ -471,6 +494,7 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
 
     origin = camera.position
     h, w = camera.height, camera.width
+    xd, yd = _nadir_rays(camera)
 
     t_box = np.full((h, w), np.inf)
     box_shade = np.ones((h, w))
@@ -480,9 +504,9 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
                        box.center[1] - box.extents[1] / 2.0, base])
         hi = np.array([box.center[0] + box.extents[0] / 2.0,
                        box.center[1] + box.extents[1] / 2.0, base + box.height])
-        if not _box_in_view(origin, dirs, lo, hi, world.resolution):
+        if not _box_in_view(origin, xd, yd, lo, hi, world.resolution):
             continue
-        t = _box_intersect(origin, dirs, lo, hi)
+        t = _box_intersect(origin, xd, yd, lo, hi)
         closer = t < t_box
         t_box = np.where(closer, t, t_box)
         box_shade = np.where(closer, 0.85, box_shade)
@@ -498,16 +522,13 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
 
     t_terrain = np.full((h, w), np.inf)
     if span > 0.0:   # else all terrain is out of range, or above a camera off the heightfield
-        n = int(math.ceil(span / step)) + 1
-        n = max(n, 2)
+        n = max(int(math.ceil(span / step)) + 1, 2)
         ks = np.arange(n + 1, dtype=float) / n          # (n+1,)
         ts = t_lo + ks * span                           # (n+1,), every ray's lattice
-        k_lo, k_hi = _march_window(world, origin, dirs, ts)
+        k_lo, k_hi = _march_window(world, origin, xd, yd, ts)
         ts = ts[k_lo:k_hi + 1]
-        px = origin[0] + ts[:, None, None] * dirs[..., 0]
-        py = origin[1] + ts[:, None, None] * dirs[..., 1]
         pz = cam_z - ts                                 # the height of sample k on every ray
-        g = pz[:, None, None] - world.height_at(px, py)
+        g = pz[:, None, None] - _lattice_heights(world, origin, xd, yd, ts)
         below = g <= 0.0
         any_hit = below.any(axis=0)
         first = np.argmax(below, axis=0)
@@ -520,14 +541,8 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
             tb = ts[k1]
             ga = g[k1 - 1, iy, ix]
             gb = g[k1, iy, ix]
-
-            def g_of(tq):
-                pxq = origin[0] + tq * dirs[iy, ix, 0]
-                pyq = origin[1] + tq * dirs[iy, ix, 1]
-                return (cam_z - tq) - world.height_at(pxq, pyq)
-
             tm = 0.5 * (ta + tb)
-            gm = g_of(tm)
+            gm = (cam_z - tm) - world.height_at(origin[0] + tm * xd[ix], origin[1] + tm * yd[iy])
             take_left = gm <= 0.0
             tb = np.where(take_left, tm, tb)
             gb = np.where(take_left, gm, gb)
@@ -541,8 +556,8 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
     valid = np.isfinite(depth) & (depth > 0.0) & (depth <= _MAX_RANGE)
 
     safe_depth = np.where(valid, depth, 1.0)
-    hit_x = origin[0] + safe_depth * dirs[..., 0]
-    hit_y = origin[1] + safe_depth * dirs[..., 1]
+    hit_x = origin[0] + safe_depth * xd
+    hit_y = origin[1] + safe_depth * yd[:, None]
     footprint = safe_depth / camera.focal_length   # m of ground per pixel at the hit
     shade = np.where(t_box < t_terrain, box_shade, 1.0)
     albedo = world.texture_at(hit_x, hit_y, footprint)

@@ -14,7 +14,7 @@ against the surface under the vehicle, box tops included.
 Vehicle motion is kinematic: a first-order velocity response with time
 constant ``t_v`` followed by Euler position integration. Commands from
 the servo are given in camera axes with an up-positive vertical
-component; the fixed yaw rotates them into the world frame.
+component; the nadir camera's rotation maps them into the world frame.
 """
 from __future__ import annotations
 
@@ -48,7 +48,6 @@ TRACK_FIELDS = ("t", "id", "f", "s", "o", "l1", "l0", "b")
 class VehicleState:
     position: np.ndarray   # (3,) world, m
     velocity: np.ndarray   # (3,) world, m/s
-    yaw: float = 0.0
 
 
 @dataclass
@@ -81,7 +80,7 @@ def step_vehicle_world(state: VehicleState, setpoint_world: np.ndarray,
     gain = min(dt / t_v, 1.0)
     vel = state.velocity + gain * (np.asarray(setpoint_world, dtype=float) - state.velocity)
     pos = state.position + vel * dt
-    return VehicleState(position=pos, velocity=vel, yaw=state.yaw)
+    return VehicleState(position=pos, velocity=vel)
 
 
 def step_vehicle(state: VehicleState, cmd: srv.VelocityCommand, dt: float,
@@ -140,8 +139,8 @@ class _ScanGuidance:
         return np.array([v[0], v[1], 0.0])
 
 
-def make_camera(scenario: Scenario, position: np.ndarray, yaw: float = 0.0) -> CameraModel:
-    return nadir_camera(position, yaw, width=scenario.camera_width,
+def make_camera(scenario: Scenario, position: np.ndarray) -> CameraModel:
+    return nadir_camera(position, width=scenario.camera_width,
                         height=scenario.camera_height,
                         focal_length=scenario.camera_focal)
 
@@ -157,7 +156,7 @@ def _fmt(value: float | int | str | None) -> str:
 def _sense(scenario: Scenario, world: World, state: VehicleState,
            rng: np.random.Generator, t: int) -> DepthFrame:
     """The noisy depth frame seen from the vehicle's pose at frame ``t``."""
-    camera = make_camera(scenario, state.position, state.yaw)
+    camera = make_camera(scenario, state.position)
     frame = dataclasses.replace(render_true_depth(world, camera), t=t)
     return corrupt(frame, scenario.noise, rng)
 
@@ -171,7 +170,7 @@ def run_episode(scenario: Scenario, params: Params, seed: int,
         scenario.extent[0] / 2.0, scenario.extent[1] / 2.0)
     state = VehicleState(
         position=np.array([start_xy[0], start_xy[1], scenario.altitude]),
-        velocity=np.zeros(3), yaw=0.0)
+        velocity=np.zeros(3))
     result = EpisodeResult(outcome="timeout", seed=seed, frames_total=0)
 
     commit = _scan(scenario, params, world, rng, state, result, observer)

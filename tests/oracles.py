@@ -282,10 +282,33 @@ def match_point(intensity: np.ndarray, template: np.ndarray, u: float, v: float,
     return mu, mv
 
 
+def box_intersect(origin: np.ndarray, dirs: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray) -> np.ndarray:
+    """First-hit ray parameter per pixel for one axis-aligned box (inf = miss),
+    from the (H, W, 3) ray directions."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / dirs
+        t0 = (lo - origin) * inv
+        t1 = (hi - origin) * inv
+    near = np.minimum(t0, t1)
+    far = np.maximum(t0, t1)
+    # axis-parallel rays: hit only if origin within the slab on that axis
+    par = np.abs(dirs) < 1e-12
+    inside = (origin >= lo) & (origin <= hi)
+    near = np.where(par, np.where(inside, -np.inf, np.inf), near)
+    far = np.where(par, np.where(inside, np.inf, -np.inf), far)
+    t_enter = near.max(axis=-1)
+    t_exit = far.min(axis=-1)
+    hit = (t_enter <= t_exit) & (t_exit > 0.0)
+    t_hit = np.where(t_enter > 0.0, t_enter, t_exit)  # origin inside: exit face
+    return np.where(hit, t_hit, np.inf)
+
+
 def render_full_march(world, camera):
     """Depth, validity and intensity of a view with every ray marched over
-    the whole global lattice and every box slab-tested."""
-    from safeland.scene import _MAX_RANGE, _box_intersect
+    the whole global lattice and every box slab-tested, from the (H, W, 3)
+    world ray directions."""
+    from safeland.scene import _MAX_RANGE
 
     dirs = camera.pixel_dirs_world()
     origin = camera.position
@@ -300,7 +323,7 @@ def render_full_march(world, camera):
                        box.center[1] - box.extents[1] / 2.0, base])
         hi = np.array([box.center[0] + box.extents[0] / 2.0,
                        box.center[1] + box.extents[1] / 2.0, base + box.height])
-        t = _box_intersect(origin, dirs, lo, hi)
+        t = box_intersect(origin, dirs, lo, hi)
         closer = t < t_box
         t_box = np.where(closer, t, t_box)
         box_shade = np.where(closer, 0.85, box_shade)

@@ -126,6 +126,18 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("setting", ["camera_focal: 0.0", "camera_width: 0",
+                                         "camera_height: -72"])
+    def test_bad_camera_in_scenario_exits_with_config_error(self, tmp_path, capsys,
+                                                            setting):
+        scenario = tmp_path / "bad_camera.yaml"
+        scenario.write_text((SCENARIO_DIR / "flat.yaml").read_text() + setting + "\n")
+        code = main([str(scenario), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: scenario:") and "camera" in err
+        assert "Traceback" not in err
+
     def test_unknown_emit_token_rejected(self, tmp_path):
         code = main([str(SCENARIO_DIR / "flat.yaml"), "--emit", "sparkles",
                      "--out", str(tmp_path)])

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from safeland.perception import (CueVector, PlaneFit, RegionMask, compute_cues,
-                                 extract_regions, fit_plane, gravity_in_camera,
-                                 screen_frame, tls_plane)
+from safeland.perception import (CueVector, PlaneFit, RegionMask, _unique_cells,
+                                 compute_cues, extract_regions, fit_plane,
+                                 gravity_in_camera, screen_frame, tls_plane)
 from safeland.scene import (Box, Scenario, build_world, nadir_camera,
                             render_true_depth)
 
@@ -117,6 +119,18 @@ class TestExtractRegions:
         assert [r.area_px for r in at_min] == areas
         above_min = extract_regions(frame, dataclasses.replace(params, a_min=smallest + 1))
         assert [r.area_px for r in above_min] == [a for a in areas if a > smallest]
+
+
+class TestUniqueCells:
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+                         min_size=1, max_size=300))
+    def test_equals_unique_rows(self, rows):
+        cells = np.array(rows, dtype=np.int64)
+        got = _unique_cells(cells)
+        want = np.unique(cells, axis=0)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestFitPlane:

@@ -1,8 +1,34 @@
 import numpy as np
 import pytest
 
-from safeland.raster import (depth_to_pgm, gray_to_pgm, labels_to_pgm,
-                             read_pgm, write_pgm)
+from safeland.raster import depth_to_pgm, gray_to_pgm, labels_to_pgm, write_pgm
+
+
+def read_pgm(path) -> np.ndarray:
+    """An independent P5 reader: the round trip checks the writer."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.startswith(b"P5"):
+        raise ValueError("not a binary PGM file")
+    # header: magic, width, height, maxval, then raster
+    fields: list[bytes] = []
+    pos = 2
+    while len(fields) < 3:
+        while pos < len(data) and data[pos : pos + 1].isspace():
+            pos += 1
+        if data[pos : pos + 1] == b"#":
+            while pos < len(data) and data[pos] != 0x0A:
+                pos += 1
+            continue
+        start = pos
+        while pos < len(data) and not data[pos : pos + 1].isspace():
+            pos += 1
+        fields.append(data[start:pos])
+    pos += 1  # single whitespace after maxval
+    width, height, maxval = (int(f) for f in fields)
+    dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
+    raster = np.frombuffer(data, dtype=dtype, offset=pos, count=width * height)
+    return raster.reshape(height, width).astype(np.uint16 if maxval >= 256 else np.uint8)
 
 
 def test_eight_bit_round_trip(tmp_path):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safeland import scene
 from safeland.scene import (Box, CameraModel, NoiseModel, Scenario, build_world,
@@ -123,12 +125,13 @@ def assert_renders_like_full_march(world, camera):
     return frame
 
 
+@pytest.fixture(scope="module")
+def cluttered_world():
+    return build_world(load_scenario(SCENARIO_DIR / "cluttered.yaml"))
+
+
 class TestBoundedMarch:
     """The windowed march and the box cull against the full-lattice renderer."""
-
-    @pytest.fixture(scope="class")
-    def cluttered_world(self):
-        return build_world(load_scenario(SCENARIO_DIR / "cluttered.yaml"))
 
     @pytest.mark.parametrize("name", ["flat", "cluttered", "undersized"])
     def test_episode_poses_render_bit_exact(self, episode_frames, name):
@@ -142,7 +145,7 @@ class TestBoundedMarch:
         for x, y in ((3.2, 3.5), (4.6, 2.4), (7.2, 5.3)):
             for z in (3.0, 1.5, 0.6, 0.35):
                 assert_renders_like_full_march(
-                    cluttered_world, nadir_camera([x, y, z], yaw=0.3))
+                    cluttered_world, nadir_camera([x, y, z]))
 
     @pytest.mark.parametrize("position", [
         (0.3, 0.4, 5.0),
@@ -152,7 +155,7 @@ class TestBoundedMarch:
     ])
     def test_view_leaving_the_world_renders_bit_exact(self, cluttered_world, position):
         frame = assert_renders_like_full_march(
-            cluttered_world, nadir_camera(list(position), yaw=0.2))
+            cluttered_world, nadir_camera(list(position)))
         assert frame.valid.any() and not frame.valid.all()
 
     def test_terrain_just_beyond_the_view_bounds_the_window(self):
@@ -178,6 +181,30 @@ class TestBoundedMarch:
         assert not (camera.pixel_dirs_world()[..., 2] < -1e-9).all()
         with pytest.raises(ValueError, match="camera must look straight down"):
             render_true_depth(cluttered_world, camera)
+
+    def test_yawed_nadir_camera_is_rejected(self, cluttered_world):
+        # straight down, but image right along world y: the renderer's
+        # per-column x and per-row y no longer hold
+        camera = CameraModel(width=16, height=12, focal_length=10.0,
+                             principal_point=(7.5, 5.5),
+                             position=np.array([3.2, 3.5, 2.0]),
+                             rotation_wc=np.array([[0.0, 1.0, 0.0],
+                                                   [1.0, 0.0, 0.0],
+                                                   [0.0, 0.0, -1.0]]))
+        assert (camera.pixel_dirs_world()[..., 2] == -1.0).all()
+        with pytest.raises(ValueError, match="camera must look straight down"):
+            render_true_depth(cluttered_world, camera)
+
+    @pytest.mark.parametrize("x, y", [(5.6, 5.8), (4.9, 5.8), (5.6, 5.3)])
+    def test_odd_camera_with_a_box_in_view_renders_bit_exact(self, cluttered_world, x, y):
+        # 17 x 13 px: the principal point sits on a pixel centre, so the
+        # middle column and row run parallel to the box's x and y faces;
+        # over the box at (5.6, 5.8), beside it in x, and beside it in y
+        camera = nadir_camera([x, y, 2.0], width=17, height=13, focal_length=10.0)
+        xd, yd = scene._nadir_rays(camera)
+        assert xd[8] == 0.0 and yd[6] == 0.0
+        frame = assert_renders_like_full_march(cluttered_world, camera)
+        assert (frame.depth[frame.valid] < 1.0).any()   # the 1.1 m box top
 
     def test_boxes_out_of_view_are_culled(self, cluttered_world, monkeypatch):
         camera = nadir_camera([2.0, 3.5, 1.0])   # every box lies beyond this view
@@ -207,6 +234,34 @@ class TestBoundedMarch:
         assert (frame.depth[frame.valid] < 1.3).any()
         monkeypatch.undo()
         assert_renders_like_full_march(cluttered_world, camera)
+
+
+class TestSeparableLookup:
+    @settings(max_examples=60, deadline=None)
+    @given(x=st.floats(-3.0, 12.0), y=st.floats(-3.0, 10.0), z=st.floats(0.2, 8.0),
+           width=st.integers(1, 24), height=st.integers(1, 18),
+           focal=st.floats(2.0, 80.0), k=st.integers(1, 12))
+    def test_lattice_heights_equal_the_pointwise_lookup(self, cluttered_world, x, y, z,
+                                                        width, height, focal, k):
+        # poses over, near and beyond the 9 m x 7 m heightfield
+        camera = nadir_camera([x, y, z], width=width, height=height, focal_length=focal)
+        dirs = camera.pixel_dirs_world()
+        xd, yd = scene._nadir_rays(camera)
+        assert dirs[..., 0].tobytes() == np.broadcast_to(xd, (height, width)).tobytes()
+        assert dirs[..., 1].tobytes() == np.broadcast_to(
+            yd[:, None], (height, width)).tobytes()
+        ts = np.linspace(0.0, z + 1.0, k)
+        origin = camera.position
+        px = origin[0] + ts[:, None, None] * dirs[..., 0]
+        py = origin[1] + ts[:, None, None] * dirs[..., 1]
+        pointwise = cluttered_world.height_at(px, py)
+        lattice = scene._lattice_heights(cluttered_world, origin, xd, yd, ts)
+        assert lattice.shape == (k, height, width)
+        assert lattice.tobytes() == pointwise.tobytes()
+        # and both as the scalar bilinear formula gives them
+        scalar = [oracles._bilinear_scalar(cluttered_world.heights, cluttered_world.resolution,
+                                           a, b, -1e30) for a, b in zip(px.flat, py.flat)]
+        assert np.array_equal(pointwise.ravel(), scalar)
 
 
 class TestCorrupt:

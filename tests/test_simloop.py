@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safeland import scene
 from safeland.params import Params
 from safeland.scene import Box, NoiseModel, Scenario, nadir_camera
 from safeland.servo import HOVER, VelocityCommand
@@ -18,7 +19,7 @@ from conftest import make_flat_scenario
 
 def rest_state(altitude: float = 2.0) -> VehicleState:
     return VehicleState(position=np.array([1.0, 1.0, altitude]),
-                        velocity=np.zeros(3), yaw=0.0)
+                        velocity=np.zeros(3))
 
 
 class TestVehicle:
@@ -44,16 +45,11 @@ class TestVehicle:
             expected = oracles.first_order_velocity(0.25, 0.1, 0.5, k)
             assert state.velocity[0] == pytest.approx(expected, abs=1e-6)
 
-    def test_camera_command_mapping_at_zero_yaw(self):
-        camera = nadir_camera([0, 0, 2.0], yaw=0.0)
+    def test_camera_command_mapping_follows_image_axes(self):
+        camera = nadir_camera([0, 0, 2.0])
         world = command_to_world(VelocityCommand(0.1, 0.2, -0.3), camera)
         # image right -> +x, image down -> -y, command vz is world up
         assert np.allclose(world, [0.1, -0.2, -0.3], atol=1e-12)
-
-    def test_camera_command_mapping_respects_yaw(self):
-        camera = nadir_camera([0, 0, 2.0], yaw=np.pi / 2)
-        world = command_to_world(VelocityCommand(0.1, 0.0, 0.0), camera)
-        assert np.allclose(world, [0.0, 0.1, 0.0], atol=1e-12)
 
     def test_lawnmower_covers_extent(self):
         pts = lawnmower_waypoints((9.0, 7.0), 5.0, 72.0, 96)
@@ -73,15 +69,16 @@ def flat_episode():
 class TestCamera:
     @settings(max_examples=100, deadline=None)
     @given(x=st.floats(-50.0, 50.0), y=st.floats(-50.0, 50.0),
-           z=st.floats(0.01, 100.0), yaw=st.floats(-10.0, 10.0),
+           z=st.floats(0.01, 100.0),
            width=st.integers(1, 200), height=st.integers(1, 200),
            focal=st.floats(1.0, 1000.0))
-    def test_every_loop_camera_looks_straight_down(self, x, y, z, yaw, width,
+    def test_every_loop_camera_looks_straight_down(self, x, y, z, width,
                                                    height, focal):
-        # the renderer accepts only cameras whose rays all have z = -1.0
+        # the renderer accepts only the nadir camera: every ray has z = -1.0
         scenario = Scenario(camera_width=width, camera_height=height,
                             camera_focal=focal)
-        camera = make_camera(scenario, np.array([x, y, z]), yaw)
+        camera = make_camera(scenario, np.array([x, y, z]))
+        assert np.array_equal(camera.rotation_wc, scene._NADIR_WC)
         assert (camera.pixel_dirs_world()[..., 2] == -1.0).all()
 
 
