@@ -6,6 +6,7 @@ overrides so a run can be reproduced from its summary line alone.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 
@@ -119,8 +120,8 @@ _INT_FIELDS = {f.name for f in fields(Params) if f.type == "int"}
 
 def domain_text(symbol: str) -> str:
     lo, hi, lo_open, hi_open = _DOMAINS[symbol]
-    left = "(" if lo_open else "["
-    right = ")" if hi_open else "]"
+    left = "(" if lo_open or lo is None else "["
+    right = ")" if hi_open or hi is None else "]"
     lo_s = "-inf" if lo is None else f"{lo:g}"
     hi_s = "inf" if hi is None else f"{hi:g}"
     return f"{left}{lo_s}, {hi_s}{right}"
@@ -128,7 +129,7 @@ def domain_text(symbol: str) -> str:
 
 def _check_domain(symbol: str, value: float) -> None:
     lo, hi, lo_open, hi_open = _DOMAINS[symbol]
-    ok = True
+    ok = math.isfinite(value)   # inf and nan are outside every domain
     if lo is not None:
         ok = ok and (value > lo if lo_open else value >= lo)
     if hi is not None:

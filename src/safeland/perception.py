@@ -8,10 +8,12 @@ holes do not shatter or shrink a region, but a region that is mostly
 invalid is dropped. Valid pixels that fail screening form the obstacle
 map consumed by the proximity cue.
 
-Screening is the one place that computes the per-frame quantities: the
-world point of every pixel and the distance of every pixel to the
-nearest obstacle pixel. Region extraction and the cues of every region
-read them from the screen result instead of recomputing them.
+A pixel's world height is the camera height minus its depth (the
+camera looks straight down). Screening is the one place that computes
+the distance of every pixel to the nearest obstacle pixel; the cues of
+every region read it from the screen result instead of recomputing it.
+Region extraction forms world x and y only for each region's valid
+pixels, along the camera's rays.
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
 class ScreenResult:
     pass_mask: np.ndarray      # valid pixels that satisfy the screening criteria
     obstacle_mask: np.ndarray  # valid pixels that violate them
-    world_points: np.ndarray   # (H, W, 3) world point per pixel (m; meaningless where invalid)
     obstacle_dist_px: np.ndarray  # distance to the nearest obstacle pixel (px; inf if none)
 
 
@@ -73,9 +74,7 @@ class CueVector:
 def screen_frame(frame: DepthFrame, params: Params) -> ScreenResult:
     valid = frame.valid
     k = params.screen_k
-    world = frame.camera.position + frame.camera.pixel_dirs_world() * frame.depth[..., None]
-    world_z = world[..., 2]
-    hz = np.where(valid, world_z, 0.0)
+    hz = np.where(valid, frame.camera.position[2] - frame.depth, 0.0)
     vf = valid.astype(float)
 
     def winsum(a: np.ndarray) -> np.ndarray:
@@ -104,7 +103,7 @@ def screen_frame(frame: DepthFrame, params: Params) -> ScreenResult:
     else:
         obstacle_dist_px = np.full(obstacle_mask.shape, np.inf)
     return ScreenResult(pass_mask=pass_mask, obstacle_mask=obstacle_mask,
-                        world_points=world, obstacle_dist_px=obstacle_dist_px)
+                        obstacle_dist_px=obstacle_dist_px)
 
 
 def _masked_gradient(d: np.ndarray, valid: np.ndarray, axis: int) -> np.ndarray:
@@ -135,7 +134,8 @@ def extract_regions(frame: DepthFrame, params: Params,
     candidate = screen.pass_mask | ~frame.valid
     labels, _ = ndimage.label(candidate, structure=_FOUR_CONNECTED)
     regions: list[RegionMask] = []
-    world = screen.world_points
+    xd, yd = frame.camera.rays()
+    cam_x, cam_y = frame.camera.position[:2]
     areas = np.bincount(labels.ravel())
     areas[0] = 0   # the background
     boxes = ndimage.find_objects(labels)
@@ -149,8 +149,11 @@ def extract_regions(frame: DepthFrame, params: Params,
             continue
         vs, us = np.nonzero(comp)
         centroid = (float((us + box[1].start).mean()), float((vs + box[0].start).mean()))
-        pts = world[box][comp_valid]
-        cells = _unique_cells(np.floor(pts[:, :2] / params.assoc_res).astype(np.int64))
+        vv, uu = np.nonzero(comp_valid)
+        d = frame.depth[box][comp_valid]
+        ground = np.stack([cam_x + xd[box[1]][uu] * d,
+                           cam_y + yd[box[0]][vv] * d], axis=1)
+        cells = _unique_cells(np.floor(ground / params.assoc_res).astype(np.int64))
         pixels = np.zeros(labels.shape, dtype=bool)
         pixels[box] = comp
         regions.append(RegionMask(
@@ -159,7 +162,7 @@ def extract_regions(frame: DepthFrame, params: Params,
             centroid_px=centroid,
             ground_footprint=cells,
             footprint_res=params.assoc_res,
-            mean_depth=float(frame.depth[box][comp_valid].mean()),
+            mean_depth=float(d.mean()),
             valid_fraction=n_valid / area,
             camera=frame.camera,
         ))
@@ -216,25 +219,17 @@ def fit_plane(frame: DepthFrame, mask: RegionMask | np.ndarray) -> PlaneFit | No
     return tls_plane(np.stack([xn * d, yn * d, d], axis=-1))   # camera-frame points
 
 
-def gravity_in_camera(camera: CameraModel) -> np.ndarray:
-    """Unit gravity direction (world -z) expressed in the camera frame."""
-    return camera.rotation_wc @ np.array([0.0, 0.0, -1.0])
-
-
 def compute_cues(frame: DepthFrame, mask: RegionMask, fit: PlaneFit,
-                 gravity_cam: np.ndarray, obstacle_dist_px: np.ndarray,
-                 params: Params) -> CueVector:
+                 obstacle_dist_px: np.ndarray, params: Params) -> CueVector:
     """Flatness, slope, obstacle-proximity cue vector for one region.
 
     ``obstacle_dist_px`` is the frame's obstacle distance map
     (``ScreenResult.obstacle_dist_px``); with no obstacle it is inf
     everywhere and the proximity cue is 0.
     """
-    g = np.asarray(gravity_cam, dtype=float)
-    if not np.isclose(np.linalg.norm(g), 1.0, atol=1e-6):
-        raise ValueError("gravity direction must be unit length")
     flat = fit.rms_residual / params.sigma_f
-    slope = float(np.arccos(np.clip(abs(float(fit.normal @ g)), 0.0, 1.0)))
+    # the camera's optical axis is the gravity vertical
+    slope = float(np.arccos(np.clip(abs(float(fit.normal[2])), 0.0, 1.0)))
 
     vs, us = np.nonzero(mask.pixels)
     cu, cv = mask.centroid_px

@@ -4,29 +4,29 @@ Conventions used throughout the package:
 
 * World frame: x/y on the ground, z up, meters.
 * Camera frame: x = image right, y = image down, z = optical axis
-  (toward the scene). ``rotation_wc`` maps world vectors into this frame.
+  (toward the scene). The camera is the level nadir camera: its frame is
+  the world frame with y and z negated, so the world ray through pixel
+  (v, u) per meter of depth is ``(xd[u], yd[v], -1)`` (``CameraModel.rays``).
 * Depth is z-depth: distance along the optical axis, not slant range.
   A level camera at altitude h over flat ground therefore reads h at
   every pixel.
 * Invalid pixels are carried in an explicit boolean mask, never encoded
   as zero or NaN depth.
 
-Rendering takes the level nadir camera only (image right along world x,
-image down along world -y; any other camera raises ``ValueError``). It
-casts one ray per pixel against the heightfield (fixed-step march at
-half the ground resolution, one bisection plus a secant refinement on
-the bracketing interval) and against axis-aligned boxes (exact slab
-test). Every ray shares one 1-D march lattice that spans the global
-height range, so sample k sits at the same height on every ray, and a
-ray's world x depends on its column alone and its y on its row alone,
-so the heightfield lookup forms its indices and weights per column and
-per row. Only the window of the lattice that can hold a ray's first
-sample under the terrain is evaluated, bounded by the highest and lowest
-terrain under the view's ground footprint; a footprint that leaves the
-heightfield marches the whole lattice. Boxes that no ray of the view
-can reach are not slab-tested. None of this changes a result bit from
-the full per-pixel march. Rendering and corruption are pure functions;
-the RNG for corruption is passed explicitly.
+Rendering casts one ray per pixel against the heightfield (fixed-step
+march at half the ground resolution, one bisection plus a secant
+refinement on the bracketing interval) and against axis-aligned boxes
+(exact slab test). Every ray shares one 1-D march lattice that spans the
+global height range, so sample k sits at the same height on every ray,
+and a ray's world x depends on its column alone and its y on its row
+alone, so the heightfield lookup forms its indices and weights per
+column and per row. Only the window of the lattice that can hold a ray's
+first sample under the terrain is evaluated, bounded by the highest and
+lowest terrain under the view's ground footprint; a footprint that
+leaves the heightfield marches the whole lattice. Boxes that no ray of
+the view can reach are not slab-tested. None of this changes a result
+bit from the full per-pixel march. Rendering and corruption are pure
+functions; the RNG for corruption is passed explicitly.
 """
 from __future__ import annotations
 
@@ -74,41 +74,23 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class CameraModel:
+    """Level nadir camera: optical axis along world -z, image right along
+    world x, image down along world -y."""
+
     width: int
     height: int
-    focal_length: float                 # px
-    principal_point: tuple[float, float]  # px (cx, cy)
-    position: np.ndarray                # (3,) world, m
-    rotation_wc: np.ndarray             # (3,3) world -> camera
+    focal_length: float    # px
+    position: np.ndarray   # (3,) world, m
 
     def __post_init__(self) -> None:
         if self.focal_length <= 0.0:
             raise ValueError("focal_length must be positive")
-        cx, cy = self.principal_point
-        if not (0.0 <= cx < self.width and 0.0 <= cy < self.height):
-            raise ValueError("principal point must lie inside the image")
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        r = np.asarray(self.rotation_wc, dtype=float)
-        if r.shape != (3, 3) or not np.allclose(r @ r.T, np.eye(3), atol=1e-9) \
-                or not math.isclose(float(np.linalg.det(r)), 1.0, abs_tol=1e-9):
-            raise ValueError("rotation_wc must be a proper rotation matrix")
-        object.__setattr__(self, "rotation_wc", r)
 
     @property
-    def rotation_cw(self) -> np.ndarray:
-        return self.rotation_wc.T
-
-    def pixel_dirs_camera(self) -> np.ndarray:
-        """(H, W, 3) per-pixel direction in camera coords, scaled to unit z-depth."""
-        xn, yn = self.normalized(np.arange(self.width), np.arange(self.height))
-        dirs = np.empty((self.height, self.width, 3))
-        dirs[..., 0] = xn[None, :]
-        dirs[..., 1] = yn[:, None]
-        dirs[..., 2] = 1.0
-        return dirs
-
-    def pixel_dirs_world(self) -> np.ndarray:
-        return self.pixel_dirs_camera() @ self.rotation_cw.T
+    def principal_point(self) -> tuple[float, float]:
+        """(cx, cy) in px: the image centre."""
+        return (self.width - 1) / 2.0, (self.height - 1) / 2.0
 
     def normalized(self, u, v):
         """Pixel coordinates -> normalized image coordinates."""
@@ -116,27 +98,28 @@ class CameraModel:
         return (np.asarray(u, dtype=float) - cx) / self.focal_length, \
                (np.asarray(v, dtype=float) - cy) / self.focal_length
 
+    def rays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(W,) xd and (H,) yd: the world ray through pixel (v, u) per meter
+        of depth is (xd[u], yd[v], -1)."""
+        xn, yn = self.normalized(np.arange(self.width), np.arange(self.height))
+        return xn, 0.0 - yn   # a zero yd is +0.0, not -0.0
+
+    def pixel_dirs_world(self) -> np.ndarray:
+        """(H, W, 3) world ray per pixel per meter of depth."""
+        xd, yd = self.rays()
+        dirs = np.empty((self.height, self.width, 3))
+        dirs[..., 0] = xd[None, :]
+        dirs[..., 1] = yd[:, None]
+        dirs[..., 2] = -1.0
+        return dirs
+
     def backproject(self, u, v, depth):
         """Pixel + z-depth -> world point(s)."""
         xn, yn = self.normalized(u, v)
         d = np.asarray(depth, dtype=float)
-        pts_cam = np.stack([xn * d, yn * d, d], axis=-1)
-        return pts_cam @ self.rotation_cw.T + self.position
-
-
-# world -> camera rotation of the level nadir camera (optical axis along world -z)
-_NADIR_WC = np.diag([1.0, -1.0, -1.0])
-_NADIR_WC.setflags(write=False)
-
-
-def nadir_camera(position, *, width: int = 96, height: int = 72,
-                 focal_length: float = 72.0) -> CameraModel:
-    """Level downward-looking camera: image right = world x, image down = world -y."""
-    return CameraModel(
-        width=width, height=height, focal_length=focal_length,
-        principal_point=((width - 1) / 2.0, (height - 1) / 2.0),
-        position=np.asarray(position, dtype=float), rotation_wc=_NADIR_WC,
-    )
+        # depth d along the ray (xn, -yn, -1); + 0.0 turns a -0.0 offset into
+        # +0.0, so a zero coordinate of the point is always +0.0
+        return np.stack([xn * d, -yn * d, -d], axis=-1) + 0.0 + self.position
 
 
 @dataclass(frozen=True)
@@ -283,10 +266,14 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.terrain not in ("flat", "ramp", "rough"):
             raise ValueError(f"unknown terrain type '{self.terrain}'")
-        if min(self.extent) <= 0.0:
-            raise ValueError("extent must be positive")
-        if self.camera_width < 1 or self.camera_height < 1 or not self.camera_focal > 0.0:
-            raise ValueError("camera_width, camera_height and camera_focal must be positive")
+        if not all(0.0 < e < math.inf for e in self.extent):
+            raise ValueError("extent must be finite and positive")
+        if not 0.0 < self.ground_resolution < math.inf:
+            raise ValueError("ground_resolution must be finite and positive")
+        if self.camera_width < 1 or self.camera_height < 1 \
+                or not 0.0 < self.camera_focal < math.inf:
+            raise ValueError("camera_width and camera_height must be positive, "
+                             "camera_focal finite and positive")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -388,13 +375,6 @@ def build_world(scenario: Scenario) -> World:
 # rendering
 # --------------------------------------------------------------------------
 
-def _nadir_rays(camera: CameraModel) -> tuple[np.ndarray, np.ndarray]:
-    """(W,) xd and (H,) yd: the world ray through pixel (v, u) per meter of
-    depth is (xd[u], yd[v], -1), bit for bit as pixel_dirs_world gives it."""
-    xn, yn = camera.normalized(np.arange(camera.width), np.arange(camera.height))
-    return xn, 0.0 - yn   # a zero yd is +0.0 there, not -0.0
-
-
 def _box_intersect(origin: np.ndarray, xd: np.ndarray, yd: np.ndarray,
                    lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """(H, W) first-hit parameter of the rays (xd[u], yd[v], -1) on one box (inf = miss)."""
@@ -478,8 +458,6 @@ def _lattice_heights(world: World, origin: np.ndarray, xd: np.ndarray,
 
 def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
     """Noise-free depth + intensity render of the world from the nadir camera."""
-    if not np.array_equal(camera.rotation_wc, _NADIR_WC):
-        raise ValueError("camera must look straight down, image right along world x")
     cam_z = float(camera.position[2])
     local = world.height_at(camera.position[0], camera.position[1])
     if float(local) > _EXIT_HEIGHT / 2 and cam_z <= float(local):
@@ -494,7 +472,7 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
 
     origin = camera.position
     h, w = camera.height, camera.width
-    xd, yd = _nadir_rays(camera)
+    xd, yd = camera.rays()
 
     t_box = np.full((h, w), np.inf)
     box_shade = np.ones((h, w))

@@ -14,7 +14,8 @@ against the surface under the vehicle, box tops included.
 Vehicle motion is kinematic: a first-order velocity response with time
 constant ``t_v`` followed by Euler position integration. Commands from
 the servo are given in camera axes with an up-positive vertical
-component; the nadir camera's rotation maps them into the world frame.
+component; for the nadir camera, image right is world x and image down
+is world -y.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from . import selector as sel
 from . import servo as srv
 from .params import Params, validate
 from .scene import (CameraModel, DepthFrame, Scenario, World, build_world,
-                    corrupt, nadir_camera, render_true_depth)
+                    corrupt, render_true_depth)
 
 Observer = Callable[[str, dict], None]
 
@@ -66,10 +67,11 @@ class EpisodeResult:
     track_rows: list[dict] = field(default_factory=list)
 
 
-def command_to_world(cmd: srv.VelocityCommand, camera: CameraModel) -> np.ndarray:
+def command_to_world(cmd: srv.VelocityCommand) -> np.ndarray:
     """Camera-axis lateral command + up-positive vertical -> world velocity."""
-    lateral = camera.rotation_cw @ np.array([cmd.vx, cmd.vy, 0.0])
-    return lateral + np.array([0.0, 0.0, cmd.vz])
+    # image right is world x, image down world -y; + 0.0 turns -0.0 into +0.0,
+    # since the velocities reach the telemetry, which prints a zero's sign
+    return np.array([cmd.vx, -cmd.vy, cmd.vz]) + 0.0
 
 
 def step_vehicle_world(state: VehicleState, setpoint_world: np.ndarray,
@@ -81,11 +83,6 @@ def step_vehicle_world(state: VehicleState, setpoint_world: np.ndarray,
     vel = state.velocity + gain * (np.asarray(setpoint_world, dtype=float) - state.velocity)
     pos = state.position + vel * dt
     return VehicleState(position=pos, velocity=vel)
-
-
-def step_vehicle(state: VehicleState, cmd: srv.VelocityCommand, dt: float,
-                 t_v: float, camera: CameraModel) -> VehicleState:
-    return step_vehicle_world(state, command_to_world(cmd, camera), dt, t_v)
 
 
 _SCAN_MARGIN = 1.0     # m, scan rows keep this far inside the extent
@@ -140,9 +137,8 @@ class _ScanGuidance:
 
 
 def make_camera(scenario: Scenario, position: np.ndarray) -> CameraModel:
-    return nadir_camera(position, width=scenario.camera_width,
-                        height=scenario.camera_height,
-                        focal_length=scenario.camera_focal)
+    return CameraModel(width=scenario.camera_width, height=scenario.camera_height,
+                       focal_length=scenario.camera_focal, position=position)
 
 
 def _fmt(value: float | int | str | None) -> str:
@@ -219,14 +215,13 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
         assoc = bel.associate(tracks, regions, params, next_id=next_id)
         tracks, next_id = assoc.tracks, assoc.next_id
 
-        gravity = per.gravity_in_camera(frame.camera)
         matched_cues: dict[int, per.CueVector] = {}
         for track, region in assoc.matches:
             fit = per.fit_plane(frame, region)
             if fit is None:
                 continue
             matched_cues[track.id] = per.compute_cues(
-                frame, region, fit, gravity, screen.obstacle_dist_px, params)
+                frame, region, fit, screen.obstacle_dist_px, params)
         bel.step(tracks, matched_cues, params)
 
         feasibility, centers = _feasibility(tracks, params.rho_min)
@@ -321,7 +316,7 @@ def _execute(scenario: Scenario, params: Params, world: World,
             result.outcome = "aborted"
             return
 
-        state = step_vehicle(state, cmd, dt, params.t_v, camera)
+        state = step_vehicle_world(state, command_to_world(cmd), dt, params.t_v)
         surface = world.surface_height_at(state.position[0], state.position[1])
         if state.position[2] - surface < params.h_td:
             result.outcome = "landed"
@@ -332,12 +327,13 @@ def _execute(scenario: Scenario, params: Params, world: World,
 
 
 def _project_px(camera: CameraModel, point_world: np.ndarray) -> np.ndarray:
-    p_cam = camera.rotation_wc @ (np.asarray(point_world, dtype=float) - camera.position)
+    dx, dy, dz = np.asarray(point_world, dtype=float) - camera.position
+    depth = -dz   # z-depth along the downward optical axis
     cx, cy = camera.principal_point
-    if p_cam[2] <= 0.0:
+    if depth <= 0.0:
         return np.array([cx, cy])
-    return np.array([camera.focal_length * p_cam[0] / p_cam[2] + cx,
-                     camera.focal_length * p_cam[1] / p_cam[2] + cy])
+    return np.array([camera.focal_length * dx / depth + cx,
+                     camera.focal_length * -dy / depth + cy])
 
 
 def _init_features(frame: DepthFrame, c_px: np.ndarray, commit_mask: per.RegionMask,
@@ -355,8 +351,7 @@ def _init_features(frame: DepthFrame, c_px: np.ndarray, commit_mask: per.RegionM
         allowed = disk & frame.valid & commit_mask.pixels
         if not allowed.any():
             allowed = disk & frame.valid
-        sel_valid = allowed & frame.valid
-        z0 = float(frame.depth[sel_valid].mean()) if sel_valid.any() \
+        z0 = float(frame.depth[allowed].mean()) if allowed.any() \
             else commit_mask.mean_depth
         fs = srv.detect_and_track(frame.intensity, allowed, None, params, z_now=z0)
         if fs.n_t > 0:

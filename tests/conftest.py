@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from safeland.params import Params
-from safeland.scene import (DepthFrame, Scenario, build_world, load_scenario,
-                            nadir_camera, render_true_depth)
+from safeland.scene import (CameraModel, DepthFrame, Scenario, build_world,
+                            load_scenario, render_true_depth)
 from safeland.simloop import run_episode
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -41,7 +41,7 @@ def flat_world():
 
 @pytest.fixture(scope="session")
 def flat_frame(flat_world) -> DepthFrame:
-    camera = nadir_camera([3.0, 2.5, 2.2])
+    camera = CameraModel(96, 72, 72.0, [3.0, 2.5, 2.2])
     return render_true_depth(flat_world, camera)
 
 
@@ -56,8 +56,7 @@ def synthetic_frame(depth: np.ndarray, valid: np.ndarray | None = None,
         intensity = np.full(depth.shape, 0.5)
     if altitude is None:
         altitude = float(np.max(np.where(valid, depth, 0.0))) + 0.1
-    camera = nadir_camera([0.0, 0.0, altitude], width=w, height=h,
-                          focal_length=focal)
+    camera = CameraModel(w, h, focal, [0.0, 0.0, altitude])
     return DepthFrame(t=0, depth=np.where(valid, depth, 0.0), valid=valid,
                       intensity=intensity, camera=camera)
 

@@ -108,6 +108,46 @@ def _bilinear_scalar(grid: np.ndarray, resolution: float, x: float, y: float,
             + grid[j0 + 1, i0 + 1] * fx * fy)
 
 
+# world -> camera rotation of the level nadir camera (optical axis along
+# world -z); the package writes its products out in closed form
+NADIR_WC = np.diag([1.0, -1.0, -1.0])
+NADIR_CW = NADIR_WC.T
+
+
+def nadir_pixel_dirs(camera) -> np.ndarray:
+    """(H, W, 3) world ray per pixel per meter of depth, through the rotation."""
+    xn, yn = camera.normalized(np.arange(camera.width), np.arange(camera.height))
+    dirs = np.empty((camera.height, camera.width, 3))
+    dirs[..., 0] = xn[None, :]
+    dirs[..., 1] = yn[:, None]
+    dirs[..., 2] = 1.0
+    return dirs @ NADIR_CW.T
+
+
+def command_to_world(vx: float, vy: float, vz: float) -> np.ndarray:
+    """Camera-axis lateral command rotated into the world, plus world-up vz."""
+    return NADIR_CW @ np.array([vx, vy, 0.0]) + np.array([0.0, 0.0, vz])
+
+
+def project_px(camera, point_world) -> np.ndarray:
+    """Pinhole projection of a world point through the rotation; the image
+    centre for a point not in front of the camera."""
+    p_cam = NADIR_WC @ (np.asarray(point_world, dtype=float) - camera.position)
+    cx, cy = camera.principal_point
+    if p_cam[2] <= 0.0:
+        return np.array([cx, cy])
+    return np.array([camera.focal_length * p_cam[0] / p_cam[2] + cx,
+                     camera.focal_length * p_cam[1] / p_cam[2] + cy])
+
+
+def backproject(camera, u, v, depth) -> np.ndarray:
+    """Pixel + z-depth -> world point, through the rotation."""
+    xn, yn = camera.normalized(u, v)
+    d = np.asarray(depth, dtype=float)
+    pts_cam = np.stack([xn * d, yn * d, d], axis=-1)
+    return pts_cam @ NADIR_CW.T + camera.position
+
+
 def raymarch_depth(world, camera, u: int, v: int, max_range: float = 100.0) -> float:
     """Scalar re-derivation of one pixel's z-depth: boxes by slab test,
     terrain by fixed-step march with one bisection and a secant finish.
@@ -117,7 +157,7 @@ def raymarch_depth(world, camera, u: int, v: int, max_range: float = 100.0) -> f
     cx, cy = camera.principal_point
     f = camera.focal_length
     d_cam = np.array([(u - cx) / f, (v - cy) / f, 1.0])
-    d_w = camera.rotation_wc.T @ d_cam
+    d_w = NADIR_WC.T @ d_cam
     origin = np.asarray(camera.position, dtype=float)
     cam_z = float(origin[2])
 
@@ -152,9 +192,9 @@ def raymarch_depth(world, camera, u: int, v: int, max_range: float = 100.0) -> f
     max_span = 0.0
     for vv in range(camera.height):
         for uu in range(camera.width):
-            dzp = ((uu - cx) / f) * camera.rotation_wc.T[2, 0] \
-                + ((vv - cy) / f) * camera.rotation_wc.T[2, 1] \
-                + camera.rotation_wc.T[2, 2]
+            dzp = ((uu - cx) / f) * NADIR_WC.T[2, 0] \
+                + ((vv - cy) / f) * NADIR_WC.T[2, 1] \
+                + NADIR_WC.T[2, 2]
             if dzp < -1e-9:
                 lo_p = max((cam_z - hmax) / (-dzp) - step, 1e-6)
                 hi_p = min((cam_z - hmin) / (-dzp) + step, max_range)

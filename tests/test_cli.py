@@ -47,6 +47,12 @@ class TestParsing:
         else:
             assert getattr(params, field) == 3.5
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("field", [f.name for f in fields(Params) if f.type == "float"])
+    def test_float_field_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigError, match="outside domain"):
+            apply_overrides(Params(), {field: value})
+
     def test_override_pairs(self):
         assert parse_overrides(["alpha=0.9", "tau=0.8"]) == {
             "alpha": "0.9", "tau": "0.8"}
@@ -136,6 +142,32 @@ class TestMain:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error: scenario:") and "camera" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("scenario, override", [
+        ("flat.yaml", ["--set", "f_s=inf"]),
+        ("undersized.yaml", ["--set", "v_xy_max=inf", "--set", "f_max=4"]),
+    ])
+    def test_non_finite_override_exits_with_config_error(self, tmp_path, capsys,
+                                                         scenario, override):
+        code = main([str(SCENARIO_DIR / scenario), *override,
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("setting, name", [
+        ("ground_resolution: 0.0", "ground_resolution"),
+        ("extent: [.inf, 5.0]", "extent"),
+        ("camera_focal: .inf", "camera_focal")])
+    def test_out_of_domain_scenario_number_exits_with_config_error(
+            self, tmp_path, capsys, setting, name):
+        scenario = tmp_path / "bad_number.yaml"
+        scenario.write_text((SCENARIO_DIR / "flat.yaml").read_text() + setting + "\n")
+        code = main([str(scenario), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: scenario:") and name in err
         assert "Traceback" not in err
 
     def test_unknown_emit_token_rejected(self, tmp_path):

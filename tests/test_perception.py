@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from safeland.perception import (CueVector, PlaneFit, RegionMask, _unique_cells,
                                  compute_cues, extract_regions, fit_plane,
-                                 gravity_in_camera, screen_frame, tls_plane)
-from safeland.scene import (Box, Scenario, build_world, nadir_camera,
+                                 screen_frame, tls_plane)
+from safeland.scene import (Box, CameraModel, Scenario, build_world,
                             render_true_depth)
 
 import oracles
@@ -22,7 +22,7 @@ class TestScreenFrame:
             Box(center=(3.5, 3.0), extents=(0.6, 0.8), height=0.8),
             Box(center=(5.6, 4.2), extents=(0.4, 0.4), height=1.2)))
         world = build_world(sc)
-        frame = render_true_depth(world, nadir_camera([4.5, 3.5, 5.0]))
+        frame = render_true_depth(world, CameraModel(96, 72, 72.0, [4.5, 3.5, 5.0]))
         screen = screen_frame(frame, params)
         assert screen.obstacle_mask.any()
         ref = np.sqrt(oracles.brute_force_distance_sq(screen.obstacle_mask).astype(float))
@@ -37,7 +37,7 @@ class TestScreenFrame:
 class TestExtractRegions:
     def test_flat_frame_yields_single_region_of_all_valid_pixels(self, params):
         world = build_world(make_flat_scenario())
-        frame = render_true_depth(world, nadir_camera([3.0, 2.5, 2.2]))
+        frame = render_true_depth(world, CameraModel(96, 72, 72.0, [3.0, 2.5, 2.2]))
         regions = extract_regions(frame, params)
         assert len(regions) == 1
         assert regions[0].area_px == int(frame.valid.sum())
@@ -47,7 +47,7 @@ class TestExtractRegions:
         sc = make_flat_scenario(extent=(9.0, 7.0), obstacles=(
             Box(center=(4.5, 3.5), extents=(0.2, 7.0), height=1.0),))
         world = build_world(sc)
-        frame = render_true_depth(world, nadir_camera([4.5, 3.5, 5.0]))
+        frame = render_true_depth(world, CameraModel(96, 72, 72.0, [4.5, 3.5, 5.0]))
         regions = extract_regions(frame, params)
         assert len(regions) == 2
         # each reported region is one 4-connected component of the oracle
@@ -66,7 +66,7 @@ class TestExtractRegions:
                       flat_patches=(), obstacles=(
                           Box(center=(6.2, 2.0), extents=(0.7, 0.7), height=0.9),))
         world = build_world(sc)
-        frame = render_true_depth(world, nadir_camera([4.5, 3.5, 5.0]))
+        frame = render_true_depth(world, CameraModel(96, 72, 72.0, [4.5, 3.5, 5.0]))
         regions = extract_regions(frame, params)
         occupancy = np.zeros(frame.depth.shape, dtype=int)
         for region in regions:
@@ -76,7 +76,7 @@ class TestExtractRegions:
 
     def test_interior_dropout_does_not_shrink_region(self, params):
         world = build_world(make_flat_scenario())
-        frame = render_true_depth(world, nadir_camera([3.0, 2.5, 2.2]))
+        frame = render_true_depth(world, CameraModel(96, 72, 72.0, [3.0, 2.5, 2.2]))
         valid = frame.valid.copy()
         rng = np.random.default_rng(0)
         holes = rng.random(valid.shape) < 0.05
@@ -92,7 +92,7 @@ class TestExtractRegions:
 
     def test_mostly_invalid_region_dropped(self, params):
         world = build_world(make_flat_scenario())
-        frame = render_true_depth(world, nadir_camera([3.0, 2.5, 2.2]))
+        frame = render_true_depth(world, CameraModel(96, 72, 72.0, [3.0, 2.5, 2.2]))
         valid = frame.valid.copy()
         rng = np.random.default_rng(1)
         valid &= rng.random(valid.shape) > 0.5
@@ -104,7 +104,7 @@ class TestExtractRegions:
         sc = make_flat_scenario(extent=(9.0, 7.0), obstacles=(
             Box(center=(3.0, 3.5), extents=(0.2, 7.0), height=1.0),))
         world = build_world(sc)
-        frame = render_true_depth(world, nadir_camera([4.5, 3.5, 5.0]))
+        frame = render_true_depth(world, CameraModel(96, 72, 72.0, [4.5, 3.5, 5.0]))
         regions = extract_regions(frame, params)
         areas = [r.area_px for r in regions]
         assert areas == sorted(areas, reverse=True)
@@ -112,7 +112,8 @@ class TestExtractRegions:
     def test_region_of_exactly_a_min_pixels_is_kept(self, params):
         sc = make_flat_scenario(extent=(9.0, 7.0), obstacles=(
             Box(center=(3.0, 3.5), extents=(0.2, 7.0), height=1.0),))
-        frame = render_true_depth(build_world(sc), nadir_camera([4.5, 3.5, 5.0]))
+        frame = render_true_depth(build_world(sc),
+                                  CameraModel(96, 72, 72.0, [4.5, 3.5, 5.0]))
         areas = [r.area_px for r in extract_regions(frame, params)]
         smallest = areas[-1]
         at_min = extract_regions(frame, dataclasses.replace(params, a_min=smallest))
@@ -166,7 +167,7 @@ class TestFitPlane:
         assert angle < 1.0
         # cross-check against an independent SVD fit on the same points
         sel = frame.valid
-        dirs = frame.camera.pixel_dirs_camera()[sel]
+        dirs = frame.camera.pixel_dirs_world()[sel] * [1.0, -1.0, -1.0]   # camera frame
         pts = dirs * frame.depth[sel][:, None]
         normal_ref, rms_ref, _ = oracles.svd_plane_fit(pts)
         assert np.allclose(np.abs(fit.normal), np.abs(normal_ref), atol=1e-9)
@@ -208,11 +209,11 @@ class TestComputeCues:
 
     def test_flat_level_ground_no_obstacles_gives_zero_cues(self, params):
         world = build_world(make_flat_scenario())
-        frame = render_true_depth(world, nadir_camera([3.0, 2.5, 2.2]))
+        frame = render_true_depth(world, CameraModel(96, 72, 72.0, [3.0, 2.5, 2.2]))
         screen = screen_frame(frame, params)
         region = self._region_for(frame, params)
         fit = fit_plane(frame, region)
-        cues = compute_cues(frame, region, fit, gravity_in_camera(frame.camera),
+        cues = compute_cues(frame, region, fit,
                             oracle_distance_px(screen.obstacle_mask), params)
         assert cues.flatness == pytest.approx(0.0, abs=1e-7)
         assert cues.slope == pytest.approx(0.0, abs=1e-6)
@@ -222,11 +223,11 @@ class TestComputeCues:
         sc = Scenario(terrain="ramp", extent=(9.0, 7.0), ramp_grade_deg=10.0,
                       texture_seed=2)
         world = build_world(sc)
-        frame = render_true_depth(world, nadir_camera([4.5, 3.5, 4.0]))
+        frame = render_true_depth(world, CameraModel(96, 72, 72.0, [4.5, 3.5, 4.0]))
         screen = screen_frame(frame, params)
         region = self._region_for(frame, params)
         fit = fit_plane(frame, region)
-        cues = compute_cues(frame, region, fit, gravity_in_camera(frame.camera),
+        cues = compute_cues(frame, region, fit,
                             oracle_distance_px(screen.obstacle_mask), params)
         assert cues.slope == pytest.approx(math.radians(10.0), abs=1e-3)
 
@@ -246,7 +247,7 @@ class TestComputeCues:
                             camera=frame.camera)
         fit = PlaneFit(normal=np.array([0.0, 0.0, -1.0]), offset=5.0,
                        rms_residual=0.0, inlier_count=9)
-        cues = compute_cues(frame, region, fit, np.array([0.0, 0.0, 1.0]),
+        cues = compute_cues(frame, region, fit,
                             oracle_distance_px(obstacle), params)
         assert cues.obstacle == pytest.approx(math.exp(-2.0), abs=1e-12)
 
@@ -260,7 +261,7 @@ class TestComputeCues:
                             camera=frame.camera)
         fit = PlaneFit(normal=np.array([0.0, 0.0, -1.0]), offset=5.0,
                        rms_residual=0.0, inlier_count=400)
-        cues = compute_cues(frame, region, fit, np.array([0.0, 0.0, 1.0]),
+        cues = compute_cues(frame, region, fit,
                             oracle_distance_px(np.zeros((20, 20), dtype=bool)), params)
         assert cues.obstacle == 0.0
 
@@ -280,7 +281,7 @@ class TestComputeCues:
         for col in (25, 18, 10, 2):
             obstacle = np.zeros((h, w), dtype=bool)
             obstacle[:, col] = True
-            cues = compute_cues(frame, region, fit, np.array([0.0, 0.0, 1.0]),
+            cues = compute_cues(frame, region, fit,
                                 oracle_distance_px(obstacle), params)
             scores.append(cues.obstacle)
         assert all(a > b for a, b in zip(scores, scores[1:]))
@@ -297,11 +298,9 @@ class TestComputeCues:
         n /= np.linalg.norm(n)
         cues_a = compute_cues(frame, region,
                               PlaneFit(n, 5.0, 0.0, 400),
-                              np.array([0.0, 0.0, 1.0]),
                               oracle_distance_px(np.zeros((20, 20), dtype=bool)), params)
         cues_b = compute_cues(frame, region,
                               PlaneFit(-n, 5.0, 0.0, 400),
-                              np.array([0.0, 0.0, 1.0]),
                               oracle_distance_px(np.zeros((20, 20), dtype=bool)), params)
         assert cues_a.slope == pytest.approx(cues_b.slope, abs=1e-15)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from safeland import scene
 from safeland.scene import (Box, CameraModel, NoiseModel, Scenario, build_world,
-                            corrupt, load_scenario, nadir_camera, render_true_depth)
+                            corrupt, load_scenario, render_true_depth)
 
 import oracles
 from conftest import SCENARIO_DIR, make_flat_scenario
@@ -53,7 +53,7 @@ class TestBuildWorld:
             Box(center=(3.3, 2.5), extents=(1.0, 1.0), height=1.0),
         ))
         world = build_world(sc)
-        camera = nadir_camera([3.15, 2.5, 5.0])
+        camera = CameraModel(96, 72, 72.0, [3.15, 2.5, 5.0])
         frame = render_true_depth(world, camera)
         # center pixel looks at the overlap: depth to the shared top
         assert frame.depth[36, 48] == pytest.approx(4.0, abs=1e-9)
@@ -66,7 +66,7 @@ class TestBuildWorld:
 class TestRender:
     def test_nadir_flat_ground_depth_equals_altitude_exactly(self):
         world = build_world(make_flat_scenario(extent=(12.0, 10.0)))
-        camera = nadir_camera([6.0, 5.0, 5.0])
+        camera = CameraModel(96, 72, 72.0, [6.0, 5.0, 5.0])
         frame = render_true_depth(world, camera)
         assert frame.valid.all()
         assert np.abs(frame.depth - 5.0).max() < 1e-9
@@ -75,7 +75,7 @@ class TestRender:
         sc = make_flat_scenario(obstacles=(
             Box(center=(3.0, 2.5), extents=(1.0, 1.0), height=1.0),))
         world = build_world(sc)
-        camera = nadir_camera([3.0, 2.5, 5.0])
+        camera = CameraModel(96, 72, 72.0, [3.0, 2.5, 5.0])
         frame = render_true_depth(world, camera)
         h, w = frame.depth.shape
         assert frame.depth[h // 2, w // 2] == pytest.approx(4.0, abs=1e-9)
@@ -84,8 +84,7 @@ class TestRender:
         sc = Scenario(terrain="rough", extent=(6.0, 5.0), texture_seed=13,
                       rough_amplitude=0.2, rough_scale=0.3)
         world = build_world(sc)
-        camera = nadir_camera([3.0, 2.5, 4.0], width=48, height=36,
-                              focal_length=40.0)
+        camera = CameraModel(48, 36, 40.0, [3.0, 2.5, 4.0])
         frame = render_true_depth(world, camera)
         rng = np.random.default_rng(0)
         for _ in range(8):
@@ -98,13 +97,13 @@ class TestRender:
 
     def test_rays_leaving_world_bounds_are_invalid(self, flat_world):
         # low altitude + short focal = wide footprint beyond the world edge
-        camera = nadir_camera([0.2, 0.2, 4.0], focal_length=30.0)
+        camera = CameraModel(96, 72, 30.0, [0.2, 0.2, 4.0])
         frame = render_true_depth(flat_world, camera)
         assert not frame.valid.all()
         assert frame.valid[36, 48]  # straight-down ray still lands inside
 
     def test_rendering_is_pure(self, flat_world):
-        camera = nadir_camera([3.0, 2.5, 3.0])
+        camera = CameraModel(96, 72, 72.0, [3.0, 2.5, 3.0])
         a = render_true_depth(flat_world, camera)
         b = render_true_depth(flat_world, camera)
         assert np.array_equal(a.depth, b.depth)
@@ -113,7 +112,7 @@ class TestRender:
 
     def test_camera_below_local_terrain_rejected(self, flat_world):
         with pytest.raises(ValueError):
-            render_true_depth(flat_world, nadir_camera([3.0, 2.5, -0.5]))
+            render_true_depth(flat_world, CameraModel(96, 72, 72.0, [3.0, 2.5, -0.5]))
 
 
 def assert_renders_like_full_march(world, camera):
@@ -145,7 +144,7 @@ class TestBoundedMarch:
         for x, y in ((3.2, 3.5), (4.6, 2.4), (7.2, 5.3)):
             for z in (3.0, 1.5, 0.6, 0.35):
                 assert_renders_like_full_march(
-                    cluttered_world, nadir_camera([x, y, z]))
+                    cluttered_world, CameraModel(96, 72, 72.0, [x, y, z]))
 
     @pytest.mark.parametrize("position", [
         (0.3, 0.4, 5.0),
@@ -155,7 +154,7 @@ class TestBoundedMarch:
     ])
     def test_view_leaving_the_world_renders_bit_exact(self, cluttered_world, position):
         frame = assert_renders_like_full_march(
-            cluttered_world, nadir_camera(list(position)))
+            cluttered_world, CameraModel(96, 72, 72.0, list(position)))
         assert frame.valid.any() and not frame.valid.all()
 
     def test_terrain_just_beyond_the_view_bounds_the_window(self):
@@ -165,49 +164,23 @@ class TestBoundedMarch:
         heights = world.heights.copy()
         heights[:, 37] = 0.3
         ridge = dataclasses.replace(world, heights=heights)
-        frame = assert_renders_like_full_march(ridge, nadir_camera([3.0, 2.5, 1.0]))
+        frame = assert_renders_like_full_march(
+            ridge, CameraModel(96, 72, 72.0, [3.0, 2.5, 1.0]))
         assert frame.depth[36, -1] < frame.depth[36, 48] - 0.05
-
-    def test_camera_that_does_not_look_straight_down_is_rejected(self, cluttered_world):
-        # tilted 75 degrees off nadir: some of its rays do not descend
-        tilt = math.radians(75.0)
-        c, s = math.cos(tilt), math.sin(tilt)
-        tilt_x = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-        flip = np.diag([1.0, -1.0, -1.0])
-        camera = CameraModel(width=16, height=12, focal_length=10.0,
-                             principal_point=(7.5, 5.5),
-                             position=np.array([4.5, 1.0, 2.0]),
-                             rotation_wc=(tilt_x @ flip).T)
-        assert not (camera.pixel_dirs_world()[..., 2] < -1e-9).all()
-        with pytest.raises(ValueError, match="camera must look straight down"):
-            render_true_depth(cluttered_world, camera)
-
-    def test_yawed_nadir_camera_is_rejected(self, cluttered_world):
-        # straight down, but image right along world y: the renderer's
-        # per-column x and per-row y no longer hold
-        camera = CameraModel(width=16, height=12, focal_length=10.0,
-                             principal_point=(7.5, 5.5),
-                             position=np.array([3.2, 3.5, 2.0]),
-                             rotation_wc=np.array([[0.0, 1.0, 0.0],
-                                                   [1.0, 0.0, 0.0],
-                                                   [0.0, 0.0, -1.0]]))
-        assert (camera.pixel_dirs_world()[..., 2] == -1.0).all()
-        with pytest.raises(ValueError, match="camera must look straight down"):
-            render_true_depth(cluttered_world, camera)
 
     @pytest.mark.parametrize("x, y", [(5.6, 5.8), (4.9, 5.8), (5.6, 5.3)])
     def test_odd_camera_with_a_box_in_view_renders_bit_exact(self, cluttered_world, x, y):
         # 17 x 13 px: the principal point sits on a pixel centre, so the
         # middle column and row run parallel to the box's x and y faces;
         # over the box at (5.6, 5.8), beside it in x, and beside it in y
-        camera = nadir_camera([x, y, 2.0], width=17, height=13, focal_length=10.0)
-        xd, yd = scene._nadir_rays(camera)
+        camera = CameraModel(17, 13, 10.0, [x, y, 2.0])
+        xd, yd = camera.rays()
         assert xd[8] == 0.0 and yd[6] == 0.0
         frame = assert_renders_like_full_march(cluttered_world, camera)
         assert (frame.depth[frame.valid] < 1.0).any()   # the 1.1 m box top
 
     def test_boxes_out_of_view_are_culled(self, cluttered_world, monkeypatch):
-        camera = nadir_camera([2.0, 3.5, 1.0])   # every box lies beyond this view
+        camera = CameraModel(96, 72, 72.0, [2.0, 3.5, 1.0])   # every box lies beyond this view
         depth, valid, intensity = oracles.render_full_march(cluttered_world, camera)
         calls = []
         real = scene._box_intersect
@@ -224,7 +197,7 @@ class TestBoundedMarch:
         # the box at (5.6, 5.8) spans x 5.2..6.0 and y 5.5..6.1; 0.6 m from
         # one of its faces, the view sees that face, nearer than the ground
         # 1.35 m or more below the camera
-        camera = nadir_camera([x, y, 1.5])
+        camera = CameraModel(96, 72, 72.0, [x, y, 1.5])
         calls = []
         real = scene._box_intersect
         monkeypatch.setattr(scene, "_box_intersect",
@@ -244,12 +217,13 @@ class TestSeparableLookup:
     def test_lattice_heights_equal_the_pointwise_lookup(self, cluttered_world, x, y, z,
                                                         width, height, focal, k):
         # poses over, near and beyond the 9 m x 7 m heightfield
-        camera = nadir_camera([x, y, z], width=width, height=height, focal_length=focal)
-        dirs = camera.pixel_dirs_world()
-        xd, yd = scene._nadir_rays(camera)
+        camera = CameraModel(width, height, focal, [x, y, z])
+        dirs = oracles.nadir_pixel_dirs(camera)
+        xd, yd = camera.rays()
         assert dirs[..., 0].tobytes() == np.broadcast_to(xd, (height, width)).tobytes()
         assert dirs[..., 1].tobytes() == np.broadcast_to(
             yd[:, None], (height, width)).tobytes()
+        assert camera.pixel_dirs_world().tobytes() == dirs.tobytes()
         ts = np.linspace(0.0, z + 1.0, k)
         origin = camera.position
         px = origin[0] + ts[:, None, None] * dirs[..., 0]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from safeland.scene import nadir_camera
+from safeland.scene import CameraModel
 from safeland.servo import (HOVER, FeatureSet, _hypot, _match_points, _warp_template,
                             anchor_normalized, control, detect_and_track,
                             detect_features, ibvs_velocity, interaction_matrix)
@@ -263,8 +263,7 @@ class TestAnchor:
         assert fs2.anchor_px[1] == pytest.approx(anchor0[1], abs=0.2)
 
     def test_anchor_normalized_uses_camera_intrinsics(self):
-        camera = nadir_camera([0, 0, 5.0], width=97, height=73,
-                              focal_length=50.0)
+        camera = CameraModel(97, 73, 50.0, [0, 0, 5.0])
         fs = FeatureSet(points=np.zeros((1, 2)), patches=np.zeros((1, 9, 9)),
                         anchor_px=np.array([58.0, 36.0]), ref_z=5.0)
         s = anchor_normalized(fs, camera)

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safeland import scene
 from safeland.params import Params
-from safeland.scene import Box, NoiseModel, Scenario, nadir_camera
+from safeland.scene import Box, CameraModel, NoiseModel, Scenario
 from safeland.servo import HOVER, VelocityCommand
-from safeland.simloop import (VehicleState, command_to_world,
+from safeland.simloop import (VehicleState, _project_px, command_to_world,
                               lawnmower_waypoints, make_camera, run_episode,
-                              step_vehicle, step_vehicle_world)
+                              step_vehicle_world)
 
 import oracles
 from conftest import make_flat_scenario
@@ -25,8 +24,7 @@ def rest_state(altitude: float = 2.0) -> VehicleState:
 class TestVehicle:
     def test_zero_command_from_rest_is_equilibrium(self):
         state = rest_state()
-        camera = nadir_camera(state.position)
-        out = step_vehicle(state, HOVER, dt=0.1, t_v=0.5, camera=camera)
+        out = step_vehicle_world(state, command_to_world(HOVER), dt=0.1, t_v=0.5)
         assert np.array_equal(out.position, state.position)
         assert np.array_equal(out.velocity, state.velocity)
 
@@ -46,8 +44,7 @@ class TestVehicle:
             assert state.velocity[0] == pytest.approx(expected, abs=1e-6)
 
     def test_camera_command_mapping_follows_image_axes(self):
-        camera = nadir_camera([0, 0, 2.0])
-        world = command_to_world(VelocityCommand(0.1, 0.2, -0.3), camera)
+        world = command_to_world(VelocityCommand(0.1, 0.2, -0.3))
         # image right -> +x, image down -> -y, command vz is world up
         assert np.allclose(world, [0.1, -0.2, -0.3], atol=1e-12)
 
@@ -74,12 +71,53 @@ class TestCamera:
            focal=st.floats(1.0, 1000.0))
     def test_every_loop_camera_looks_straight_down(self, x, y, z, width,
                                                    height, focal):
-        # the renderer accepts only the nadir camera: every ray has z = -1.0
+        # every ray of the loop's camera is the nadir rotation's: z = -1.0
         scenario = Scenario(camera_width=width, camera_height=height,
                             camera_focal=focal)
         camera = make_camera(scenario, np.array([x, y, z]))
-        assert np.array_equal(camera.rotation_wc, scene._NADIR_WC)
-        assert (camera.pixel_dirs_world()[..., 2] == -1.0).all()
+        xd, yd = camera.rays()
+        dirs = oracles.nadir_pixel_dirs(camera)
+        assert (dirs[..., 2] == -1.0).all()
+        assert dirs[..., 0].tobytes() == np.broadcast_to(xd, (height, width)).tobytes()
+        assert dirs[..., 1].tobytes() == np.broadcast_to(
+            yd[:, None], (height, width)).tobytes()
+
+
+# signed zeros and subnormal-scale values next to ordinary ones: the closed
+# forms must give the rotation's bits, the sign of a zero included
+_COORD = st.sampled_from([0.0, -0.0, 1e-300, -1e-300]) | st.floats(-20.0, 20.0)
+
+
+class TestNadirClosedForms:
+    """The package's nadir arithmetic against the general rotation, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(vx=_COORD, vy=_COORD, vz=_COORD)
+    def test_command_to_world(self, vx, vy, vz):
+        got = command_to_world(VelocityCommand(vx, vy, vz))
+        assert got.tobytes() == oracles.command_to_world(vx, vy, vz).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(cam=st.tuples(_COORD, _COORD, st.floats(0.1, 20.0)),
+           point=st.tuples(_COORD, _COORD, _COORD),
+           width=st.integers(1, 200), height=st.integers(1, 200),
+           focal=st.floats(1.0, 1000.0))
+    def test_project_px(self, cam, point, width, height, focal):
+        camera = CameraModel(width, height, focal, list(cam))
+        got = _project_px(camera, np.array(point))
+        assert got.tobytes() == oracles.project_px(camera, point).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(cam=st.tuples(_COORD, _COORD, st.floats(0.1, 20.0)),
+           u=st.floats(0.0, 1.0), v=st.floats(0.0, 1.0),
+           depth=st.sampled_from([0.0, 1e-300]) | st.floats(0.0, 20.0),
+           width=st.integers(1, 200), height=st.integers(1, 200),
+           focal=st.floats(1.0, 1000.0))
+    def test_backproject(self, cam, u, v, depth, width, height, focal):
+        camera = CameraModel(width, height, focal, list(cam))
+        u, v = u * (width - 1), v * (height - 1)   # anywhere in the image
+        got = camera.backproject(u, v, depth)
+        assert got.tobytes() == oracles.backproject(camera, u, v, depth).tobytes()
 
 
 class TestEpisode:
