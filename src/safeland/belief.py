@@ -79,6 +79,41 @@ def footprint_iou(cells_a: np.ndarray, cells_b: np.ndarray) -> float:
     return inter / union if union else 0.0
 
 
+def _cell_keys(footprints: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell of the footprints as one int64 key, with the index of its footprint."""
+    cells = np.concatenate([np.zeros((0, 2), dtype=np.int64)]
+                           + [np.reshape(c, (-1, 2)) for c in footprints]).astype(np.int64)
+    owner = np.repeat(np.arange(len(footprints)), [len(c) for c in footprints])
+    return cells[:, 0] * (2**32) + cells[:, 1], owner
+
+
+def _iou_matrix(footprints_a: list[np.ndarray], footprints_b: list[np.ndarray]) -> np.ndarray:
+    """(A, B) ``footprint_iou`` of every pair, from one join over the encoded cells.
+
+    The cells of the B footprints are sorted once by key; every cell of
+    an A footprint finds the B cells with its key by binary search, and
+    the (a, b) pairs so found are counted into the intersections. An
+    empty footprint has IoU 0.0 with every other.
+    """
+    n_a, n_b = len(footprints_a), len(footprints_b)
+    keys_a, owner_a = _cell_keys(footprints_a)
+    keys_b, owner_b = _cell_keys(footprints_b)
+    order = np.argsort(keys_b, kind="stable")
+    keys_b, owner_b = keys_b[order], owner_b[order]
+    lo = np.searchsorted(keys_b, keys_a, side="left")
+    hits = np.searchsorted(keys_b, keys_a, side="right") - lo
+    # the i-th hit of cell c of A is B cell lo[c] + i
+    starts = np.cumsum(hits) - hits
+    at = np.arange(int(hits.sum())) + np.repeat(lo - starts, hits)
+    pairs = np.repeat(owner_a, hits) * n_b + owner_b[at]
+    inter = np.bincount(pairs, minlength=n_a * n_b).reshape(n_a, n_b)
+    size_a = np.bincount(owner_a, minlength=n_a)[:, None]
+    size_b = np.bincount(owner_b, minlength=n_b)[None, :]
+    union = size_a + size_b - inter
+    nonempty = (size_a > 0) & (size_b > 0)
+    return np.where(nonempty, inter / np.where(nonempty, union, 1), 0.0)
+
+
 @dataclass
 class AssociationResult:
     tracks: list[RegionTrack]                       # surviving + newly spawned
@@ -95,11 +130,8 @@ def associate(tracks: list[RegionTrack], regions: list[RegionMask], params: Para
     more than ``params.track_grace`` consecutive frames retire.
     """
     n_t, n_r = len(tracks), len(regions)
-    iou = np.zeros((n_t, n_r))
-    for i, track in enumerate(tracks):
-        for j, region in enumerate(regions):
-            iou[i, j] = footprint_iou(track.mask.ground_footprint,
-                                      region.ground_footprint)
+    iou = _iou_matrix([track.mask.ground_footprint for track in tracks],
+                      [region.ground_footprint for region in regions])
 
     matches: list[tuple[RegionTrack, RegionMask]] = []
     used_t = np.zeros(n_t, dtype=bool)

@@ -20,13 +20,15 @@ refinement on the bracketing interval) and against axis-aligned boxes
 global height range, so sample k sits at the same height on every ray,
 and a ray's world x depends on its column alone and its y on its row
 alone, so the heightfield lookup forms its indices and weights per
-column and per row. Only the window of the lattice that can hold a ray's
-first sample under the terrain is evaluated, bounded by the highest and
-lowest terrain under the view's ground footprint; a footprint that
-leaves the heightfield marches the whole lattice. Boxes that no ray of
-the view can reach are not slab-tested. None of this changes a result
-bit from the full per-pixel march. Rendering and corruption are pure
-functions; the RNG for corruption is passed explicitly.
+column and per row, blends the column weights into each heightfield row
+the lattice meets once, and copies whole rows per image row. Only the
+window of the lattice that can hold a ray's first sample under the
+terrain is evaluated, bounded by the highest and lowest terrain under
+the view's ground footprint; a footprint that leaves the heightfield
+marches the whole lattice. Boxes that no ray of the view can reach are
+not slab-tested. None of this changes a result bit from the full
+per-pixel march. Rendering and corruption are pure functions; the RNG
+for corruption is passed explicitly.
 """
 from __future__ import annotations
 
@@ -64,6 +66,10 @@ class NoiseModel:
     burst_magnitude: float = 0.0  # m, bias applied on a burst frame
 
     def __post_init__(self) -> None:
+        for name in ("sigma_range", "sigma_prop", "dropout_prob", "burst_prob",
+                     "burst_magnitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"noise {name} must be finite")
         if not 0.0 <= self.dropout_prob <= 1.0:
             raise ValueError("dropout_prob must be in [0, 1]")
         if not 0.0 <= self.burst_prob <= 1.0:
@@ -270,6 +276,10 @@ class Scenario:
             raise ValueError("extent must be finite and positive")
         if not 0.0 < self.ground_resolution < math.inf:
             raise ValueError("ground_resolution must be finite and positive")
+        if not math.isfinite(self.altitude):
+            raise ValueError("altitude must be finite")
+        if self.start is not None and not all(math.isfinite(c) for c in self.start):
+            raise ValueError("start must be finite")
         if self.camera_width < 1 or self.camera_height < 1 \
                 or not 0.0 < self.camera_focal < math.inf:
             raise ValueError("camera_width and camera_height must be positive, "
@@ -450,10 +460,44 @@ def _march_window(world: World, origin: np.ndarray, xd: np.ndarray, yd: np.ndarr
 def _lattice_heights(world: World, origin: np.ndarray, xd: np.ndarray,
                      yd: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """(K, H, W) terrain height under sample k of the ray through (v, u), which lies
-    over (px[k, u], py[k, v]): the lookup's indices and weights are per column and row."""
-    px = origin[0] + ts[:, None] * xd               # (K, W)
-    py = origin[1] + ts[:, None] * yd               # (K, H)
-    return world.height_at(px[:, None, :], py[:, :, None])
+    over (px[k, u], py[k, v]); the same bits as ``world.height_at`` on those points.
+
+    The lookup's indices and weights are per column and per row, so the
+    x-weighted corners ``g[j, i0] * ex`` and ``g[j, i0 + 1] * fx`` are
+    formed once per sample and heightfield row the lattice meets, and
+    every (sample, image row) copies its rows ``j0`` and ``j0 + 1`` of
+    them whole. Rows are taken by index, not by slice: on a heightfield
+    one node tall ``j0`` is -1 and wraps to row 0, as in ``_bilinear_grid``.
+    """
+    grid = world.heights
+    ny, nx = grid.shape
+    x = (origin[0] + ts[:, None] * xd) / world.resolution     # (K, W)
+    y = (origin[1] + ts[:, None] * yd) / world.resolution     # (K, H)
+    inside = (((x >= 0.0) & (x <= nx - 1))[:, None, :]
+              & ((y >= 0.0) & (y <= ny - 1))[:, :, None])
+    xc = np.clip(x, 0.0, nx - 1)
+    yc = np.clip(y, 0.0, ny - 1)
+    i0 = np.minimum(xc.astype(np.int64), nx - 2)
+    j0 = np.minimum(yc.astype(np.int64), ny - 2)
+    fx = xc - i0
+    fy = yc - j0
+    ex, ey = 1.0 - fx, 1.0 - fy
+    r0 = int(j0.min())
+    rows = grid[np.arange(r0, int(j0.max()) + 2)]             # (R, Nx)
+    n_k, n_u = x.shape
+    # (R * K, W): row (j - r0) * K + k holds sample k's corner on heightfield row j
+    a0 = (rows[:, i0] * ex).reshape(-1, n_u)
+    a1 = (rows[:, i0 + 1] * fx).reshape(-1, n_u)
+    top = (j0 - r0) * n_k + np.arange(n_k)[:, None]           # (K, H), row j0
+    # corner by corner, in place, as _bilinear_grid sums them
+    v = a0[top]
+    v *= ey[:, :, None]
+    for a, j, wy in ((a1, top, ey), (a0, top + n_k, fy), (a1, top + n_k, fy)):
+        term = a[j]
+        term *= wy[:, :, None]
+        v += term
+    np.copyto(v, _EXIT_HEIGHT, where=~inside)
+    return v
 
 
 def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:

@@ -175,18 +175,26 @@ def run_episode(scenario: Scenario, params: Params, seed: int,
     return result
 
 
-def _feasibility(tracks: list[bel.RegionTrack], rho_min: float):
-    """Inscribed radius of every track, with the world point of its center."""
-    feasibility: dict[int, sel.FeasibilityResult] = {}
-    centers: dict[int, np.ndarray] = {}
+def _feasibility(tracks: list[bel.RegionTrack], rho_min: float, known: dict | None = None):
+    """Inscribed radius of every track, with the world point of its center.
+
+    Returns them with a memo, track id -> (mask, feasibility, center or
+    None), to pass as ``known`` next frame: a track still holding the
+    same mask object, as an unmatched track does, reuses its result.
+    """
+    memo: dict[int, tuple] = {}
     for track in tracks:
-        gsd = track.mask.mean_depth / track.mask.camera.focal_length
-        feas, center_px = sel.inscribed_radius(track.mask.pixels, gsd, rho_min)
-        feasibility[track.id] = feas
-        if center_px is not None:
-            centers[track.id] = track.mask.camera.backproject(
+        entry = known.get(track.id) if known else None
+        if entry is None or entry[0] is not track.mask:
+            gsd = track.mask.mean_depth / track.mask.camera.focal_length
+            feas, center_px = sel.inscribed_radius(track.mask.pixels, gsd, rho_min)
+            center = None if center_px is None else track.mask.camera.backproject(
                 center_px[0], center_px[1], track.mask.mean_depth)
-    return feasibility, centers
+            entry = (track.mask, feas, center)
+        memo[track.id] = entry
+    feasibility = {tid: feas for tid, (_, feas, _) in memo.items()}
+    centers = {tid: center for tid, (_, _, center) in memo.items() if center is not None}
+    return feasibility, centers, memo
 
 
 def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Generator,
@@ -204,6 +212,7 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
         speed=params.v_xy_max)
     tracks: list[bel.RegionTrack] = []
     next_id = 0
+    known: dict = {}
     for t in range(params.f_max):
         if state.position[2] <= world.surface_height_at(state.position[0], state.position[1]):
             result.outcome = "crashed"
@@ -224,7 +233,7 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
                 frame, region, fit, screen.obstacle_dist_px, params)
         bel.step(tracks, matched_cues, params)
 
-        feasibility, centers = _feasibility(tracks, params.rho_min)
+        feasibility, centers, known = _feasibility(tracks, params.rho_min, known)
         centers_ground = {tid: (float(c[0]), float(c[1])) for tid, c in centers.items()}
         infeasible_beliefs = [tr.belief for tr in tracks
                               if not feasibility[tr.id].feasible]

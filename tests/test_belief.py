@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safeland.belief import (RegionTrack, associate, cue_likelihood,
+from safeland.belief import (RegionTrack, _iou_matrix, associate, cue_likelihood,
                              footprint_iou, likelihood_safe, likelihood_unsafe,
                              predict, step, update)
 from safeland.params import Params, validate
@@ -197,6 +197,20 @@ class TestAssociation:
         track = RegionTrack(id=0, mask=region_with_cells(a), belief=0.7)
         result = associate([track], [region_with_cells(b)], ASSOC, next_id=1)
         assert [t.id for t, _ in result.matches] == [0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(footprints=st.lists(
+        st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=30),
+        max_size=9))
+    def test_iou_join_equals_the_pairwise_loop(self, footprints):
+        # overlapping, disjoint, empty and negative-coordinate footprints,
+        # split into two lists that share some of them
+        cells = [np.array(sorted(f), dtype=np.int64).reshape(-1, 2) for f in footprints]
+        a, b = cells[: len(cells) // 2 + 1], cells[len(cells) // 3:]
+        loop = np.array([[footprint_iou(x, y) for y in b] for x in a]).reshape(len(a), len(b))
+        join = _iou_matrix(a, b)
+        assert join.shape == loop.shape
+        assert join.tobytes() == loop.tobytes()
 
     def test_new_regions_spawn_tracks_at_initial_belief(self):
         cells = square_cells(0.0, 0.0, 1.0)

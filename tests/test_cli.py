@@ -159,7 +159,11 @@ class TestMain:
     @pytest.mark.parametrize("setting, name", [
         ("ground_resolution: 0.0", "ground_resolution"),
         ("extent: [.inf, 5.0]", "extent"),
-        ("camera_focal: .inf", "camera_focal")])
+        ("camera_focal: .inf", "camera_focal"),
+        ("noise: {sigma_range: .inf}", "sigma_range"),
+        ("noise: {burst_magnitude: .nan}", "burst_magnitude"),
+        ("altitude: .inf", "altitude"),
+        ("start: [.inf, 1.0]", "start")])
     def test_out_of_domain_scenario_number_exits_with_config_error(
             self, tmp_path, capsys, setting, name):
         scenario = tmp_path / "bad_number.yaml"

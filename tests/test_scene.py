@@ -237,6 +237,30 @@ class TestSeparableLookup:
                                            a, b, -1e30) for a, b in zip(px.flat, py.flat)]
         assert np.array_equal(pointwise.ravel(), scalar)
 
+    @pytest.mark.parametrize("shape", [(1, 31), (31, 1), (1, 1), "undersized"])
+    @pytest.mark.parametrize("width, height", [(1, 9), (9, 1), (1, 1), (12, 9)])
+    def test_degenerate_heightfields_equal_the_pointwise_lookup(self, shape, width, height):
+        # on a heightfield one node tall or wide the lookup's lower corner
+        # index is -1, which wraps to the last node
+        if shape == "undersized":
+            world = build_world(load_scenario(SCENARIO_DIR / "undersized.yaml"))
+        else:
+            world = scene.World(heights=np.random.default_rng(sum(shape)).normal(0.0, 0.2, shape),
+                                texture=np.zeros((5, 5)), resolution=0.1)
+        # on the heightfield's corner and edges, and views that leave it
+        for x, y, z in ((0.0, 0.0, 1.0), (1.5, 0.0, 2.0), (0.0, 1.5, 0.5),
+                        (-0.3, 0.02, 0.5), (4.0, 3.0, 4.0), (8.5, 6.5, 3.0)):
+            camera = CameraModel(width, height, 4.0, [x, y, z])
+            xd, yd = camera.rays()
+            for k in (1, 5):
+                ts = np.linspace(0.1, z + 1.0, k)
+                px = x + ts[:, None, None] * xd[None, None, :]
+                py = y + ts[:, None, None] * yd[None, :, None]
+                pointwise = world.height_at(px, py)
+                lattice = scene._lattice_heights(world, camera.position, xd, yd, ts)
+                assert lattice.shape == (k, height, width)
+                assert lattice.tobytes() == pointwise.tobytes()
+
 
 class TestCorrupt:
     def test_zero_noise_is_identity(self, flat_frame):

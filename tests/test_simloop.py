@@ -5,15 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import safeland.selector as sel_mod
+import safeland.simloop as simloop_mod
 from safeland.params import Params
-from safeland.scene import Box, CameraModel, NoiseModel, Scenario
+from safeland.scene import Box, CameraModel, NoiseModel, Scenario, load_scenario
 from safeland.servo import HOVER, VelocityCommand
 from safeland.simloop import (VehicleState, _project_px, command_to_world,
                               lawnmower_waypoints, make_camera, run_episode,
                               step_vehicle_world)
 
 import oracles
-from conftest import make_flat_scenario
+from conftest import SCENARIO_DIR, make_flat_scenario
 
 
 def rest_state(altitude: float = 2.0) -> VehicleState:
@@ -227,3 +229,33 @@ class TestEpisode:
         assert result.outcome == "aborted"
         assert result.frames_to_commit is not None   # commit happened on geometry
         assert result.touchdown_error is None
+
+
+class TestFeasibilityReuse:
+    def test_reused_results_equal_a_fresh_computation(self, monkeypatch):
+        # the scan_hires benchmark episode: undersized.yaml at 192x144, 12 frames
+        scenario = dataclasses.replace(load_scenario(SCENARIO_DIR / "undersized.yaml"),
+                                       camera_width=192, camera_height=144,
+                                       camera_focal=144.0)
+        real, real_radius = simloop_mod._feasibility, sel_mod.inscribed_radius
+        radii = []
+        frames = []   # (tracks, radii measured) per frame
+
+        def checked(tracks, rho_min, known=None):
+            fresh_feas, fresh_centers, _ = real(tracks, rho_min)
+            radii.clear()
+            feasibility, centers, memo = real(tracks, rho_min, known)
+            frames.append((len(tracks), len(radii)))
+            assert list(feasibility.items()) == list(fresh_feas.items())
+            assert list(centers) == list(fresh_centers)
+            for tid, center in centers.items():
+                assert center.tobytes() == fresh_centers[tid].tobytes()
+            return feasibility, centers, memo
+
+        monkeypatch.setattr(sel_mod, "inscribed_radius",
+                            lambda *args: radii.append(1) or real_radius(*args))
+        monkeypatch.setattr(simloop_mod, "_feasibility", checked)
+        result = run_episode(scenario, Params(f_max=12), seed=0)
+        assert result.outcome == "timeout" and len(frames) == 12
+        # unmatched tracks kept their masks and were not measured again
+        assert 0 < sum(m for _, m in frames) < sum(n for n, _ in frames)
