@@ -1,148 +1,143 @@
-"""Run parameters for the landing pipeline.
+"""Run parameters for the landing pipeline, and the domain of every
+configuration number.
 
 The core symbols (alpha, tau, rho_min, w_f/w_s/w_o, lambda, f_s, b0,
 v_xy_max, v_z_max) use the same names in config files and ``--set``
 overrides so a run can be reproduced from its summary line alone.
+
+Every numeric field of ``Params`` and of the scenario dataclasses in
+``scene`` declares its domain with ``ranged``; ``validate`` and
+``apply_overrides`` enforce it and raise ``ConfigError``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
+
+_BOUNDS = {"gt", "ge", "lt", "le"}
 
 
 class ConfigError(ValueError):
-    """Raised when a parameter override is malformed or out of domain."""
+    """Raised when a parameter override or a scenario is malformed or out of domain."""
+
+
+def ranged(default, **bounds):
+    """A dataclass field whose value ``validate`` keeps finite and inside
+    ``bounds``: lower ``gt`` or ``ge``, upper ``lt`` or ``le``, any of them
+    left out for an unbounded side. Pass ``dataclasses.MISSING`` as the
+    default of a required field."""
+    if not set(bounds) <= _BOUNDS:
+        raise TypeError(f"unknown bounds {sorted(set(bounds) - _BOUNDS)}")
+    return field(default=default, metadata={"domain": bounds})
+
+
+def domain_text(bounds: dict) -> str:
+    """The interval of a ``ranged`` domain, e.g. ``(0, inf)`` or ``[1, inf)``."""
+    lo = bounds.get("gt", bounds.get("ge", -math.inf))
+    hi = bounds.get("lt", bounds.get("le", math.inf))
+    left = "[" if "ge" in bounds else "("
+    right = "]" if "le" in bounds else ")"
+    return f"{left}{lo:g}, {hi:g}{right}"
+
+
+def _check(name: str, value, integer: bool, bounds: dict) -> None:
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if integer else "a number"
+        raise ConfigError(f"{name}={value!r} is not {what} in {domain_text(bounds)}")
+    inf = math.inf
+    if not (math.isfinite(value)   # inf and nan are outside every domain
+            and bounds.get("gt", -inf) < value <= bounds.get("le", inf)
+            and bounds.get("ge", -inf) <= value < bounds.get("lt", inf)):
+        raise ConfigError(f"{name}={value:g} outside domain {domain_text(bounds)}")
+
+
+def validate(obj):
+    """Check every field of the dataclass ``obj`` that declares a domain;
+    returns ``obj`` unchanged.
+
+    The annotation gives the shape: ``int`` takes an integer, ``float``
+    any real number, ``tuple[float, float]`` a tuple of two of them, each
+    in the domain, and a trailing ``| None`` also takes None. (The
+    annotations are strings: ``from __future__ import annotations``.)
+    """
+    for f in fields(obj):
+        if "domain" not in f.metadata:
+            continue
+        bounds, value = f.metadata["domain"], getattr(obj, f.name)
+        if value is None and f.type.endswith("| None"):
+            continue
+        if not f.type.startswith("tuple"):
+            _check(f.name, value, f.type == "int", bounds)
+        elif isinstance(value, tuple) and len(value) == 2:
+            for i, v in enumerate(value):
+                _check(f"{f.name}[{i}]", v, False, bounds)
+        else:
+            raise ConfigError(f"{f.name}={value!r} is not a tuple of two numbers "
+                              f"in {domain_text(bounds)}")
+    return obj
 
 
 @dataclass(frozen=True)
 class Params:
     # belief / selection
-    f_s: float = 10.0        # Hz, loop and belief update rate
-    w_f: float = 0.4         # flatness weight
-    w_s: float = 0.2         # slope weight
-    w_o: float = 0.4         # obstacle proximity weight
-    alpha: float = 0.95      # temporal persistence, (0.5, 1)
-    b0: float = 0.5          # initial belief for new tracks
-    tau: float = 0.75        # commit threshold on belief
-    rho_min: float = 0.55    # m, minimum inscribed landing radius
-    eps_l: float = 0.05      # likelihood floor, keeps beliefs revisable
+    f_s: float = ranged(10.0, gt=0.0)              # Hz, loop and belief update rate
+    w_f: float = ranged(0.4, ge=0.0)               # flatness weight
+    w_s: float = ranged(0.2, ge=0.0)               # slope weight
+    w_o: float = ranged(0.4, ge=0.0)               # obstacle proximity weight
+    alpha: float = ranged(0.95, gt=0.5, lt=1.0)    # temporal persistence
+    b0: float = ranged(0.5, gt=0.0, lt=1.0)        # initial belief for new tracks
+    tau: float = ranged(0.75, gt=0.0, lt=1.0)      # commit threshold on belief
+    rho_min: float = ranged(0.55, gt=0.0)          # m, minimum inscribed landing radius
+    eps_l: float = ranged(0.05, gt=0.0, le=0.5)    # likelihood floor, keeps beliefs revisable
 
     # cue shaping
-    sigma_f: float = 0.02    # m, plane-fit RMS that maps to flatness cue 1.0
-    sigma_f_cue: float = 1.0  # scale of the flatness likelihood on the normalized cue
-    sigma_s: float = 0.15    # rad, scale of the slope likelihood
-    sigma_o: float = 0.5     # scale of the obstacle likelihood
-    d_scale: float = 0.5     # m, obstacle-distance scale in the proximity score
-    obstacle_k: int = 9      # interior pixels (nearest the centroid) used for proximity
+    sigma_f: float = ranged(0.02, gt=0.0)          # m, plane-fit RMS that maps to flatness cue 1.0
+    sigma_f_cue: float = ranged(1.0, gt=0.0)       # flatness likelihood scale, normalized cue
+    sigma_s: float = ranged(0.15, gt=0.0)          # rad, scale of the slope likelihood
+    sigma_o: float = ranged(0.5, gt=0.0)           # scale of the obstacle likelihood
+    d_scale: float = ranged(0.5, gt=0.0)  # m, obstacle-distance scale in the proximity score
+    obstacle_k: int = ranged(9, ge=1)  # interior pixels (nearest the centroid) used for proximity
 
     # region screening
-    screen_k: int = 5        # px, window for local height statistics
-    v_max: float = 0.03      # m, max height std inside the window
-    g_max: float = 0.10      # m/px, max depth gradient magnitude
-    a_min: int = 100         # px, minimum region area
-    max_invalid_frac: float = 0.30
+    screen_k: int = ranged(5, ge=3)                # px, window for local height statistics
+    v_max: float = ranged(0.03, gt=0.0)            # m, max height std inside the window
+    g_max: float = ranged(0.10, gt=0.0)            # m/px, max depth gradient magnitude
+    a_min: int = ranged(100, ge=1)                 # px, minimum region area
+    max_invalid_frac: float = ranged(0.30, ge=0.0, lt=1.0)
 
     # association
-    iou_min: float = 0.3     # ground-footprint IoU required for a match
-    track_grace: int = 5     # frames a track survives unmatched
-    assoc_res: float = 0.10  # m, ground-cell size for footprint IoU
+    iou_min: float = ranged(0.3, gt=0.0, lt=1.0)   # ground-footprint IoU required for a match
+    track_grace: int = ranged(5, ge=0)             # frames a track survives unmatched
+    assoc_res: float = ranged(0.10, gt=0.0)        # m, ground-cell size for footprint IoU
 
     # servo / control
-    lam: float = 0.8         # servo gain (config symbol: lambda)
-    v_xy_max: float = 0.25   # m/s, lateral speed limit
-    v_z_max: float = 0.30    # m/s, vertical speed limit
-    e_align: float = 0.05    # normalized image error below which descent engages
-    v_des: float = 0.2       # m/s, gated descent rate
-    n_min: int = 8           # re-detect features below this count
-    n_max: int = 40          # feature budget
-    patch_radius: int = 4    # px, template half-size (9x9 patches)
-    search_radius: int = 10  # px, match search half-window (21x21)
-    retemplate_ratio: float = 0.25  # refresh templates after this relative depth change
-    commit_window_px: int = 24     # px, detection radius around the committed center
-    mse_max: float = 0.005   # per-pixel SSD threshold for accepting a match
+    lam: float = ranged(0.8, gt=0.0)               # servo gain (config symbol: lambda)
+    v_xy_max: float = ranged(0.25, gt=0.0)         # m/s, lateral speed limit
+    v_z_max: float = ranged(0.30, gt=0.0)          # m/s, vertical speed limit
+    e_align: float = ranged(0.05, gt=0.0)  # normalized image error below which descent engages
+    v_des: float = ranged(0.2, gt=0.0)             # m/s, gated descent rate
+    n_min: int = ranged(8, ge=1)                   # re-detect features below this count
+    n_max: int = ranged(40, ge=1)                  # feature budget
+    patch_radius: int = ranged(4, ge=1)            # px, template half-size (9x9 patches)
+    search_radius: int = ranged(10, ge=1)          # px, match search half-window (21x21)
+    # refresh templates after this relative depth change
+    retemplate_ratio: float = ranged(0.25, gt=0.0, lt=1.0)
+    commit_window_px: int = ranged(24, ge=1)  # px, detection radius around the committed center
+    mse_max: float = ranged(0.005, gt=0.0)         # per-pixel SSD threshold for accepting a match
 
     # vehicle / episode
-    t_v: float = 0.5         # s, first-order velocity-response time constant
-    f_max: int = 300         # scan frames before timeout
-    f_max_exec: int = 2000   # hard cap on execution frames
-    h_td: float = 0.05       # m, touchdown altitude
+    t_v: float = ranged(0.5, gt=0.0)               # s, first-order velocity-response time constant
+    f_max: int = ranged(300, ge=1)                 # scan frames before timeout
+    f_max_exec: int = ranged(2000, ge=1)           # hard cap on execution frames
+    h_td: float = ranged(0.05, gt=0.0)             # m, touchdown altitude
 
-
-# symbol -> (low, high, low_open, high_open); None means unbounded on that side
-_DOMAINS: dict[str, tuple[float | None, float | None, bool, bool]] = {
-    "f_s": (0.0, None, True, False),
-    "w_f": (0.0, None, False, False),
-    "w_s": (0.0, None, False, False),
-    "w_o": (0.0, None, False, False),
-    "alpha": (0.5, 1.0, True, True),
-    "b0": (0.0, 1.0, True, True),
-    "tau": (0.0, 1.0, True, True),
-    "rho_min": (0.0, None, True, False),
-    "eps_l": (0.0, 0.5, True, False),
-    "sigma_f": (0.0, None, True, False),
-    "sigma_f_cue": (0.0, None, True, False),
-    "sigma_s": (0.0, None, True, False),
-    "sigma_o": (0.0, None, True, False),
-    "d_scale": (0.0, None, True, False),
-    "obstacle_k": (1, None, False, False),
-    "screen_k": (3, None, False, False),
-    "v_max": (0.0, None, True, False),
-    "g_max": (0.0, None, True, False),
-    "a_min": (1, None, False, False),
-    "max_invalid_frac": (0.0, 1.0, False, True),
-    "iou_min": (0.0, 1.0, True, True),
-    "track_grace": (0, None, False, False),
-    "assoc_res": (0.0, None, True, False),
-    "lam": (0.0, None, True, False),
-    "v_xy_max": (0.0, None, True, False),
-    "v_z_max": (0.0, None, True, False),
-    "e_align": (0.0, None, True, False),
-    "v_des": (0.0, None, True, False),
-    "n_min": (1, None, False, False),
-    "n_max": (1, None, False, False),
-    "patch_radius": (1, None, False, False),
-    "search_radius": (1, None, False, False),
-    "retemplate_ratio": (0.0, 1.0, True, True),
-    "commit_window_px": (1, None, False, False),
-    "mse_max": (0.0, None, True, False),
-    "t_v": (0.0, None, True, False),
-    "f_max": (1, None, False, False),
-    "f_max_exec": (1, None, False, False),
-    "h_td": (0.0, None, True, False),
-}
 
 # config files and --set use "lambda"; the attribute is `lam` (reserved word)
 _ALIASES = {"lambda": "lam"}
 
-# the module's annotations are strings (``from __future__ import annotations``)
-_INT_FIELDS = {f.name for f in fields(Params) if f.type == "int"}
-
-
-def domain_text(symbol: str) -> str:
-    lo, hi, lo_open, hi_open = _DOMAINS[symbol]
-    left = "(" if lo_open or lo is None else "["
-    right = ")" if hi_open or hi is None else "]"
-    lo_s = "-inf" if lo is None else f"{lo:g}"
-    hi_s = "inf" if hi is None else f"{hi:g}"
-    return f"{left}{lo_s}, {hi_s}{right}"
-
-
-def _check_domain(symbol: str, value: float) -> None:
-    lo, hi, lo_open, hi_open = _DOMAINS[symbol]
-    ok = math.isfinite(value)   # inf and nan are outside every domain
-    if lo is not None:
-        ok = ok and (value > lo if lo_open else value >= lo)
-    if hi is not None:
-        ok = ok and (value < hi if hi_open else value <= hi)
-    if not ok:
-        raise ConfigError(f"{symbol}={value:g} outside domain {domain_text(symbol)}")
-
-
-def validate(params: Params) -> Params:
-    """Check every field against its domain; returns the params unchanged."""
-    for f in fields(params):
-        _check_domain(f.name, getattr(params, f.name))
-    return params
+_FIELDS = {f.name: f for f in fields(Params)}
 
 
 def apply_overrides(params: Params, overrides: dict[str, str | float | int]) -> Params:
@@ -150,20 +145,14 @@ def apply_overrides(params: Params, overrides: dict[str, str | float | int]) -> 
     updates: dict[str, float | int] = {}
     for raw_name, raw_value in overrides.items():
         name = _ALIASES.get(raw_name, raw_name)
-        if name not in _DOMAINS:
+        if name not in _FIELDS:
             raise ConfigError(f"unknown parameter '{raw_name}'")
+        integer = _FIELDS[name].type == "int"
         try:
-            value: float | int
-            if name in _INT_FIELDS:
-                value = int(str(raw_value), 0)
-            else:
-                value = float(raw_value)
+            value = int(str(raw_value), 0) if integer else float(raw_value)
         except ValueError as exc:
             raise ConfigError(f"{raw_name}: cannot parse '{raw_value}' as a number") from exc
-        try:
-            _check_domain(name, value)
-        except ConfigError as exc:
-            # report the symbol the user typed, with its domain
-            raise ConfigError(f"{raw_name}={value:g} outside domain {domain_text(name)}") from exc
+        # reported under the symbol the user typed
+        _check(raw_name, value, integer, _FIELDS[name].metadata["domain"])
         updates[name] = value
     return replace(params, **updates)

@@ -33,11 +33,13 @@ for corruption is passed explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
+
+from .params import ConfigError, ranged, validate
 
 _EXIT_HEIGHT = -1.0e30  # stands in for "ray left the world bounds"
 _MAX_RANGE = 100.0      # m, farther returns are invalid
@@ -48,34 +50,24 @@ _MARCH_MARGIN = 1e-9    # m, height slack of the march window
 class Box:
     """Axis-aligned obstacle: footprint center/extents in meters, height above terrain."""
 
-    center: tuple[float, float]
-    extents: tuple[float, float]
-    height: float
+    center: tuple[float, float] = ranged(MISSING)
+    extents: tuple[float, float] = ranged(MISSING, gt=0.0)
+    height: float = ranged(MISSING, gt=0.0)
 
     def __post_init__(self) -> None:
-        if min(self.extents) <= 0.0 or self.height <= 0.0:
-            raise ValueError(f"box extents and height must be positive, got {self}")
+        validate(self)
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    sigma_range: float = 0.0      # m, additive Gaussian std on valid depths
-    sigma_prop: float = 0.0       # extra std per meter of depth
-    dropout_prob: float = 0.0     # per-pixel probability of an invalid return
-    burst_prob: float = 0.0       # per-frame probability of a whole-frame bias
-    burst_magnitude: float = 0.0  # m, bias applied on a burst frame
+    sigma_range: float = ranged(0.0, ge=0.0)           # m, additive Gaussian std on valid depths
+    sigma_prop: float = ranged(0.0, ge=0.0)            # extra std per meter of depth
+    dropout_prob: float = ranged(0.0, ge=0.0, le=1.0)  # per-pixel probability of an invalid return
+    burst_prob: float = ranged(0.0, ge=0.0, le=1.0)    # per-frame probability of a whole-frame bias
+    burst_magnitude: float = ranged(0.0)               # m, bias applied on a burst frame
 
     def __post_init__(self) -> None:
-        for name in ("sigma_range", "sigma_prop", "dropout_prob", "burst_prob",
-                     "burst_magnitude"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"noise {name} must be finite")
-        if not 0.0 <= self.dropout_prob <= 1.0:
-            raise ValueError("dropout_prob must be in [0, 1]")
-        if not 0.0 <= self.burst_prob <= 1.0:
-            raise ValueError("burst_prob must be in [0, 1]")
-        if self.sigma_range < 0.0 or self.sigma_prop < 0.0:
-            raise ValueError("noise sigmas must be non-negative")
+        validate(self)
 
 
 @dataclass(frozen=True)
@@ -130,7 +122,6 @@ class CameraModel:
 
 @dataclass(frozen=True)
 class DepthFrame:
-    t: int
     depth: np.ndarray      # (H, W) z-depth in m; value meaningless where not valid
     valid: np.ndarray      # (H, W) bool
     intensity: np.ndarray  # (H, W) grayscale in [0, 1]
@@ -176,18 +167,17 @@ class World:
     resolution: float       # m per heightmap lattice cell
     texture_resolution: float = 0.02  # m per texture lattice cell
     obstacles: tuple[Box, ...] = ()
-    texture_mips: tuple[np.ndarray, ...] = ()  # derived; box-filtered pyramid
+    texture_mips: tuple[np.ndarray, ...] = field(init=False)  # derived; box-filtered pyramid
 
     def __post_init__(self) -> None:
         if self.resolution <= 0.0 or self.texture_resolution <= 0.0:
             raise ValueError("lattice resolutions must be positive")
         if not np.all(np.isfinite(self.heights)):
             raise ValueError("heightmap must be finite everywhere")
-        if not self.texture_mips:
-            mips = [self.texture]
-            while min(mips[-1].shape) > 4:
-                mips.append(_downsample2(mips[-1]))
-            object.__setattr__(self, "texture_mips", tuple(mips))
+        mips = [self.texture]
+        while min(mips[-1].shape) > 4:
+            mips.append(_downsample2(mips[-1]))
+        object.__setattr__(self, "texture_mips", tuple(mips))
 
     @property
     def extent(self) -> tuple[float, float]:
@@ -244,46 +234,38 @@ class FlatPatch:
     """Flat plateau carved into the terrain: a disk, or a rectangle when
     half_extents is given (radius is then ignored)."""
 
-    center: tuple[float, float]
-    radius: float = 0.0
-    height: float = 0.0
-    half_extents: tuple[float, float] | None = None
+    center: tuple[float, float] = ranged(MISSING)
+    radius: float = ranged(0.0, ge=0.0)
+    height: float = ranged(0.0)
+    half_extents: tuple[float, float] | None = ranged(None, ge=0.0)
+
+    def __post_init__(self) -> None:
+        validate(self)
 
 
 @dataclass(frozen=True)
 class Scenario:
     name: str = "scenario"
     terrain: str = "flat"            # flat | ramp | rough
-    extent: tuple[float, float] = (9.0, 7.0)
-    ground_resolution: float = 0.1
-    ramp_grade_deg: float = 10.0
-    rough_amplitude: float = 0.12    # m, peak-to-mean roughness
-    rough_scale: float = 0.5         # m, roughness wavelength
+    extent: tuple[float, float] = ranged((9.0, 7.0), gt=0.0)
+    ground_resolution: float = ranged(0.1, gt=0.0)
+    ramp_grade_deg: float = ranged(10.0, gt=-90.0, lt=90.0)
+    rough_amplitude: float = ranged(0.12, ge=0.0)   # m, peak-to-mean roughness
+    rough_scale: float = ranged(0.5, gt=0.0)        # m, roughness wavelength
     flat_patches: tuple[FlatPatch, ...] = ()
     obstacles: tuple[Box, ...] = ()
-    texture_seed: int = 0
+    texture_seed: int = ranged(0, ge=0)
     noise: NoiseModel = field(default_factory=NoiseModel)
-    start: tuple[float, float] | None = None
-    altitude: float = 5.0
-    camera_width: int = 96
-    camera_height: int = 72
-    camera_focal: float = 72.0
+    start: tuple[float, float] | None = ranged(None)
+    altitude: float = ranged(5.0)                   # m, a scan below the surface crashes
+    camera_width: int = ranged(96, ge=1)
+    camera_height: int = ranged(72, ge=1)
+    camera_focal: float = ranged(72.0, gt=0.0)
 
     def __post_init__(self) -> None:
         if self.terrain not in ("flat", "ramp", "rough"):
             raise ValueError(f"unknown terrain type '{self.terrain}'")
-        if not all(0.0 < e < math.inf for e in self.extent):
-            raise ValueError("extent must be finite and positive")
-        if not 0.0 < self.ground_resolution < math.inf:
-            raise ValueError("ground_resolution must be finite and positive")
-        if not math.isfinite(self.altitude):
-            raise ValueError("altitude must be finite")
-        if self.start is not None and not all(math.isfinite(c) for c in self.start):
-            raise ValueError("start must be finite")
-        if self.camera_width < 1 or self.camera_height < 1 \
-                or not 0.0 < self.camera_focal < math.inf:
-            raise ValueError("camera_width and camera_height must be positive, "
-                             "camera_focal finite and positive")
+        validate(self)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -292,31 +274,33 @@ def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(raw, name=Path(path).stem)
 
 
+def _from_dict(cls, raw, where: str):
+    """``cls`` built from a mapping of its field names, YAML lists read as tuples;
+    errors name the entry ``where`` they come from."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}expected a mapping, got {raw!r}")
+    unknown = set(raw) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"{where}unknown key(s) {sorted(map(str, unknown))}")
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+    except (ConfigError, TypeError) as exc:   # TypeError: a required key is missing
+        raise ConfigError(f"{where}{exc}") from None
+
+
 def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
-    obstacles = tuple(
-        Box(center=tuple(o["center"]), extents=tuple(o["extents"]), height=float(o["height"]))
-        for o in raw.get("obstacles", []) or []
-    )
-    patches = tuple(
-        FlatPatch(center=tuple(p["center"]), radius=float(p.get("radius", 0.0)),
-                  height=float(p.get("height", 0.0)),
-                  half_extents=(tuple(p["half_extents"])
-                                if p.get("half_extents") is not None else None))
-        for p in raw.get("flat_patches", []) or []
-    )
-    noise = NoiseModel(**(raw.get("noise", {}) or {}))
-    start = tuple(raw["start"]) if raw.get("start") is not None else None
-    kwargs = {
-        k: raw[k]
-        for k in ("terrain", "ground_resolution", "ramp_grade_deg", "rough_amplitude",
-                  "rough_scale", "texture_seed", "altitude",
-                  "camera_width", "camera_height", "camera_focal")
-        if k in raw
-    }
-    if "extent" in raw:
-        kwargs["extent"] = tuple(raw["extent"])
-    return Scenario(name=raw.get("name", name), obstacles=obstacles, flat_patches=patches,
-                    noise=noise, start=start, **kwargs)
+    """The scenario a YAML mapping describes; unknown keys and values outside
+    a field's domain raise ``ConfigError``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"expected a mapping, got {raw!r}")
+    raw = {"name": name, **raw}
+    for key, cls in (("obstacles", Box), ("flat_patches", FlatPatch)):
+        items = raw.get(key) or []
+        if not isinstance(items, list):
+            raise ConfigError(f"{key}: expected a list, got {items!r}")
+        raw[key] = tuple(_from_dict(cls, item, f"{key}[{i}]: ") for i, item in enumerate(items))
+    raw["noise"] = _from_dict(NoiseModel, raw.get("noise") or {}, "noise: ")
+    return _from_dict(Scenario, raw, "")
 
 
 def _value_noise(rng: np.random.Generator, shape: tuple[int, int], cell: int) -> np.ndarray:
@@ -502,19 +486,12 @@ def _lattice_heights(world: World, origin: np.ndarray, xd: np.ndarray,
 
 def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
     """Noise-free depth + intensity render of the world from the nadir camera."""
-    cam_z = float(camera.position[2])
-    local = world.height_at(camera.position[0], camera.position[1])
+    origin = camera.position
+    cam_z = float(origin[2])
+    local = world.height_at(origin[0], origin[1])
     if float(local) > _EXIT_HEIGHT / 2 and cam_z <= float(local):
         raise ValueError("camera must be above the terrain underneath it")
-    for box in world.obstacles:
-        base = float(world.height_at(*box.center))
-        inside = (abs(camera.position[0] - box.center[0]) < box.extents[0] / 2.0
-                  and abs(camera.position[1] - box.center[1]) < box.extents[1] / 2.0
-                  and base < cam_z < base + box.height)
-        if inside:
-            raise ValueError("camera must not be inside an obstacle")
 
-    origin = camera.position
     h, w = camera.height, camera.width
     xd, yd = camera.rays()
 
@@ -522,6 +499,10 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
     box_shade = np.ones((h, w))
     for box in world.obstacles:
         base = float(world.height_at(*box.center))
+        if (abs(origin[0] - box.center[0]) < box.extents[0] / 2.0
+                and abs(origin[1] - box.center[1]) < box.extents[1] / 2.0
+                and base < cam_z < base + box.height):
+            raise ValueError("camera must not be inside an obstacle")
         lo = np.array([box.center[0] - box.extents[0] / 2.0,
                        box.center[1] - box.extents[1] / 2.0, base])
         hi = np.array([box.center[0] + box.extents[0] / 2.0,
@@ -585,7 +566,7 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
     albedo = world.texture_at(hit_x, hit_y, footprint)
     intensity = np.where(valid, np.clip(albedo * shade, 0.0, 1.0), 0.0)
     depth = np.where(valid, depth, 0.0)
-    return DepthFrame(t=0, depth=depth, valid=valid, intensity=intensity, camera=camera)
+    return DepthFrame(depth=depth, valid=valid, intensity=intensity, camera=camera)
 
 
 def corrupt(frame: DepthFrame, noise: NoiseModel, rng: np.random.Generator) -> DepthFrame:
@@ -609,5 +590,5 @@ def corrupt(frame: DepthFrame, noise: NoiseModel, rng: np.random.Generator) -> D
         valid = valid & keep
     # non-physical ranges are clamped before they can reach the plane fits
     depth = np.where(valid, np.maximum(depth, 0.01), 0.0)
-    return DepthFrame(t=frame.t, depth=depth, valid=valid,
-                      intensity=frame.intensity, camera=frame.camera)
+    return DepthFrame(depth=depth, valid=valid, intensity=frame.intensity,
+                      camera=frame.camera)

@@ -7,8 +7,8 @@ selector is never re-entered and the terminal phase servos the vehicle
 over the committed center and descends. Tracking loss beyond the grace
 window aborts to hover. A scan that flies into an obstacle taller than
 the scan altitude ends the episode as crashed. Both phases take each
-frame from one sense step (render, then corrupt, stamped with the frame
-index) and read every setting from ``Params``. Touchdown is tested
+frame from one sense step (render, then corrupt) and read every setting
+from ``Params``. Touchdown is tested
 against the surface under the vehicle, box tops included.
 
 Vehicle motion is kinematic: a first-order velocity response with time
@@ -19,7 +19,6 @@ is world -y.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -150,11 +149,10 @@ def _fmt(value: float | int | str | None) -> str:
 
 
 def _sense(scenario: Scenario, world: World, state: VehicleState,
-           rng: np.random.Generator, t: int) -> DepthFrame:
-    """The noisy depth frame seen from the vehicle's pose at frame ``t``."""
+           rng: np.random.Generator) -> DepthFrame:
+    """The noisy depth frame seen from the vehicle's pose."""
     camera = make_camera(scenario, state.position)
-    frame = dataclasses.replace(render_true_depth(world, camera), t=t)
-    return corrupt(frame, scenario.noise, rng)
+    return corrupt(render_true_depth(world, camera), scenario.noise, rng)
 
 
 def run_episode(scenario: Scenario, params: Params, seed: int,
@@ -218,7 +216,7 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
             result.outcome = "crashed"
             return None
         result.frames_total = t + 1
-        frame = _sense(scenario, world, state, rng, t)
+        frame = _sense(scenario, world, state, rng)
         screen = per.screen_frame(frame, params)
         regions = per.extract_regions(frame, params, screen=screen)
         assoc = bel.associate(tracks, regions, params, next_id=next_id)
@@ -281,7 +279,7 @@ def _execute(scenario: Scenario, params: Params, world: World,
 
     # detect the feature cloud around the committed center; the anchor point
     # tracks the center's image position through the cloud's common motion
-    frame = _sense(scenario, world, state, rng, start_t)
+    frame = _sense(scenario, world, state, rng)
     c_px = _project_px(frame.camera, c_world)
     fs, z_t = _init_features(frame, c_px, commit_mask, params)
     if fs is None:
@@ -295,7 +293,7 @@ def _execute(scenario: Scenario, params: Params, world: World,
         t = start_t + k
         result.frames_total = t + 1
         if k > 0:  # frame 0 is the one the features were detected on
-            frame = _sense(scenario, world, state, rng, t)
+            frame = _sense(scenario, world, state, rng)
         camera = frame.camera
 
         sel_pixels = commit_mask.pixels & frame.valid

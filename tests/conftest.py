@@ -57,7 +57,7 @@ def synthetic_frame(depth: np.ndarray, valid: np.ndarray | None = None,
     if altitude is None:
         altitude = float(np.max(np.where(valid, depth, 0.0))) + 0.1
     camera = CameraModel(w, h, focal, [0.0, 0.0, altitude])
-    return DepthFrame(t=0, depth=np.where(valid, depth, 0.0), valid=valid,
+    return DepthFrame(depth=np.where(valid, depth, 0.0), valid=valid,
                       intensity=intensity, camera=camera)
 
 

@@ -163,7 +163,23 @@ class TestMain:
         ("noise: {sigma_range: .inf}", "sigma_range"),
         ("noise: {burst_magnitude: .nan}", "burst_magnitude"),
         ("altitude: .inf", "altitude"),
-        ("start: [.inf, 1.0]", "start")])
+        ("start: [.inf, 1.0]", "start"),
+        ("texture_seed: -1", "texture_seed"),
+        ("camera_width: 40.5", "camera_width"),
+        ("extent: [9.0]", "extent"),
+        ("start: [1.0]", "start"),
+        ("flat_patches: [{center: [3.0, 3.0], radius: 1.0, height: .inf}]", "height"),
+        ("altitud: 3.0", "altitud"),
+        ("rough_scale: -1.0", "rough_scale"),
+        ("rough_scale: 1e-3", "rough_scale"),   # YAML reads this as a string
+        ("ramp_grade_deg: .nan", "ramp_grade_deg"),
+        ("obstacles: [{center: [.inf, 2.0], extents: [0.5, 0.5], height: 1.0}]", "center"),
+        ("obstacles: [{center: [2.0, 2.0], extents: [.inf, 0.5], height: 1.0}]", "extents"),
+        ("obstacles: [{center: [2.0, 2.0], extents: [0.5, 0.5], height: .inf}]", "height"),
+        ("obstacles: [{centre: [2.0, 2.0], extents: [0.5, 0.5], height: 1.0}]", "centre"),
+        ("flat_patches: [{center: [3.0, 3.0], radius: .nan}]", "radius"),
+        ("flat_patches: [{center: [3.0, 3.0], half_extents: [-1.0, 1.0]}]", "half_extents"),
+        ("noise: {sigma_rnage: 0.1}", "sigma_rnage")])
     def test_out_of_domain_scenario_number_exits_with_config_error(
             self, tmp_path, capsys, setting, name):
         scenario = tmp_path / "bad_number.yaml"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safeland import scene
-from safeland.scene import (Box, CameraModel, NoiseModel, Scenario, build_world,
-                            corrupt, load_scenario, render_true_depth)
+from safeland.params import ConfigError, Params, validate
+from safeland.scene import (Box, CameraModel, FlatPatch, NoiseModel, Scenario,
+                            build_world, corrupt, load_scenario, render_true_depth)
 
 import oracles
 from conftest import SCENARIO_DIR, make_flat_scenario
@@ -319,3 +321,48 @@ class TestCorrupt:
             NoiseModel(dropout_prob=1.5)
         with pytest.raises(ValueError):
             NoiseModel(sigma_range=-0.1)
+
+
+class TestDomains:
+    @pytest.mark.parametrize("cls", [Params, Scenario, NoiseModel, Box, FlatPatch])
+    def test_every_number_declares_a_domain(self, cls):
+        not_numbers = {"terrain", "name", "flat_patches", "obstacles", "noise"}
+        for f in dataclasses.fields(cls):
+            assert (f.name in not_numbers) != ("domain" in f.metadata), \
+                f"{cls.__name__}.{f.name}"
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: validate(Params(f_max=True)), "f_max"),
+        (lambda: validate(Params(f_max=30.0)), "f_max"),
+        (lambda: validate(Params(alpha="0.9")), "alpha"),
+        (lambda: Scenario(texture_seed=1.0), "texture_seed"),
+        (lambda: Scenario(altitude=False), "altitude"),
+        (lambda: Scenario(rough_scale="1e-3"), "rough_scale"),
+        (lambda: Scenario(extent=[9.0, 7.0]), "extent"),
+        (lambda: Scenario(extent=(9.0, 7.0, 1.0)), "extent"),
+        (lambda: Scenario(start=(1.0, "2")), "start[1]"),
+        (lambda: dataclasses.replace(Scenario(), camera_height=0), "camera_height"),
+        (lambda: FlatPatch(center=None), "center"),
+        (lambda: NoiseModel(burst_magnitude=math.inf), "burst_magnitude"),
+    ])
+    def test_wrong_type_shape_or_value_names_the_field(self, make, name):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)}="):
+            make()
+
+    def test_float_field_takes_an_int(self):
+        assert Scenario(altitude=3, extent=(9, 7)).altitude == 3
+        assert validate(Params(alpha=0.9, f_s=20)).f_s == 20
+
+    def test_shipped_scenarios_and_the_bench_variant_load(self):
+        cluttered = load_scenario(SCENARIO_DIR / "cluttered.yaml")
+        assert cluttered.flat_patches[1] == FlatPatch(center=(7.2, 5.3), height=0.3,
+                                                      half_extents=(0.45, 0.75))
+        assert cluttered.obstacles[2] == Box((5.6, 5.8), (0.8, 0.6), 1.1)
+        assert cluttered.noise == NoiseModel(sigma_range=0.02, dropout_prob=0.05,
+                                             burst_prob=0.05, burst_magnitude=0.5)
+        assert load_scenario(SCENARIO_DIR / "flat.yaml").start == (5.8, 3.9)
+        undersized = load_scenario(SCENARIO_DIR / "undersized.yaml")
+        assert (undersized.name, undersized.extent) == ("undersized", (8.0, 6.0))
+        hires = dataclasses.replace(undersized, camera_width=192, camera_height=144,
+                                    camera_focal=144.0)
+        assert (hires.camera_width, hires.camera_height) == (192, 144)

@@ -220,9 +220,7 @@ class TestEpisode:
 
         def flat_gray_world(sc):
             world = real_build(sc)
-            return dataclasses.replace(world,
-                                       texture=np.full_like(world.texture, 0.5),
-                                       texture_mips=())
+            return dataclasses.replace(world, texture=np.full_like(world.texture, 0.5))
 
         monkeypatch.setattr(simloop_mod, "build_world", flat_gray_world)
         result = simloop_mod.run_episode(scenario, Params(f_max=30), seed=0)
