@@ -9,11 +9,24 @@ invalid is dropped. Valid pixels that fail screening form the obstacle
 map consumed by the proximity cue.
 
 A pixel's world height is the camera height minus its depth (the
-camera looks straight down). Screening is the one place that computes
-the distance of every pixel to the nearest obstacle pixel; the cues of
-every region read it from the screen result instead of recomputing it.
-Region extraction forms world x and y only for each region's valid
-pixels, along the camera's rays.
+camera looks straight down). Screening runs the frame's one distance
+transform, to the nearest obstacle pixel; the cues of every region read
+it from the screen result instead of recomputing it. Screening also
+turns it into the frame's clearance map, the squared distance to the
+nearest obstacle pixel or to the ring of pixels just beyond the image
+border, whichever is nearer. Within a region this is the distance to
+the nearest pixel outside the region: regions are 4-connected
+components of ``pass | ~valid``, so the nearest outside pixel q is an
+obstacle or beyond the border. Were q a candidate pixel of another
+component, its 4-neighbour one step closer to the region pixel would lie
+in the region and join the two.
+
+Every region carries its bounding box and its crop of the clearance map,
+and each per-region stage reads the region's pixels inside its box.
+Row-major order inside a box is the frame's row-major order, so sums,
+orderings and argmaxes are those of the full-frame arrays. Region
+extraction forms world x and y only for each region's valid pixels,
+along the camera's rays.
 """
 from __future__ import annotations
 
@@ -34,11 +47,14 @@ class ScreenResult:
     pass_mask: np.ndarray      # valid pixels that satisfy the screening criteria
     obstacle_mask: np.ndarray  # valid pixels that violate them
     obstacle_dist_px: np.ndarray  # distance to the nearest obstacle pixel (px; inf if none)
+    clearance_sq: np.ndarray   # squared distance to the nearest obstacle or beyond the border (px²)
 
 
 @dataclass(frozen=True)
 class RegionMask:
     pixels: np.ndarray             # (H, W) bool, 4-connected component
+    box: tuple[slice, slice]       # bounding box of the component
+    clearance_sq: np.ndarray       # the box's crop of the frame's clearance map (px²)
     area_px: int
     centroid_px: tuple[float, float]   # (u, v)
     ground_footprint: np.ndarray   # (K, 2) int64 occupied ground cells
@@ -96,14 +112,25 @@ def screen_frame(frame: DepthFrame, params: Params) -> ScreenResult:
     mag = np.where(grad_ok, np.hypot(np.where(grad_ok, gx, 0.0), np.where(grad_ok, gy, 0.0)), np.inf)
     pass_grad = valid & grad_ok & (mag <= params.g_max)
 
-    pass_mask = pass_var & pass_grad
+    return _screen_result(pass_var & pass_grad, valid)
+
+
+def _screen_result(pass_mask: np.ndarray, valid: np.ndarray) -> ScreenResult:
+    """Obstacle map, obstacle distances and clearance map of a frame's pass mask."""
     obstacle_mask = valid & ~pass_mask
+    h, w = obstacle_mask.shape
+    rows, cols = np.arange(h), np.arange(w)
+    # distance from each pixel to the ring of pixels just beyond the image
+    border = np.minimum.outer(np.minimum(rows + 1, h - rows), np.minimum(cols + 1, w - cols))
+    clearance_sq = border * border
     if obstacle_mask.any():
-        obstacle_dist_px = np.sqrt(distance_sq_to(obstacle_mask).astype(float))
+        obstacle_sq = distance_sq_to(obstacle_mask)
+        obstacle_dist_px = np.sqrt(obstacle_sq.astype(float))
+        np.minimum(clearance_sq, obstacle_sq, out=clearance_sq)
     else:
         obstacle_dist_px = np.full(obstacle_mask.shape, np.inf)
     return ScreenResult(pass_mask=pass_mask, obstacle_mask=obstacle_mask,
-                        obstacle_dist_px=obstacle_dist_px)
+                        obstacle_dist_px=obstacle_dist_px, clearance_sq=clearance_sq)
 
 
 def _masked_gradient(d: np.ndarray, valid: np.ndarray, axis: int) -> np.ndarray:
@@ -158,6 +185,8 @@ def extract_regions(frame: DepthFrame, params: Params,
         pixels[box] = comp
         regions.append(RegionMask(
             pixels=pixels,
+            box=box,
+            clearance_sq=screen.clearance_sq[box],
             area_px=area,
             centroid_px=centroid,
             ground_footprint=cells,
@@ -175,7 +204,8 @@ def _unique_cells(cells: np.ndarray) -> np.ndarray:
     lo = cells.min(axis=0)
     rel = cells - lo
     span = int(rel[:, 1].max()) + 1
-    keys = np.unique(rel[:, 0] * span + rel[:, 1])
+    keys = np.sort(rel[:, 0] * span + rel[:, 1])
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     return np.stack([keys // span, keys % span], axis=1) + lo
 
 
@@ -209,13 +239,18 @@ def fit_plane(frame: DepthFrame, mask: RegionMask | np.ndarray) -> PlaneFit | No
     Returns None when the points are too few or collinear; the caller
     skips the region for this frame.
     """
-    pix = mask.pixels if isinstance(mask, RegionMask) else np.asarray(mask, dtype=bool)
-    sel = pix & frame.valid
+    if isinstance(mask, RegionMask):
+        rows, cols = mask.box
+        pix = mask.pixels[mask.box]
+    else:
+        pix = np.asarray(mask, dtype=bool)
+        rows, cols = slice(0, pix.shape[0]), slice(0, pix.shape[1])
+    sel = pix & frame.valid[rows, cols]
     if int(sel.sum()) < 3:
         return None
     vs, us = np.nonzero(sel)
-    xn, yn = frame.camera.normalized(us, vs)
-    d = frame.depth[sel]
+    xn, yn = frame.camera.normalized(us + cols.start, vs + rows.start)
+    d = frame.depth[rows, cols][sel]
     return tls_plane(np.stack([xn * d, yn * d, d], axis=-1))   # camera-frame points
 
 
@@ -231,7 +266,10 @@ def compute_cues(frame: DepthFrame, mask: RegionMask, fit: PlaneFit,
     # the camera's optical axis is the gravity vertical
     slope = float(np.arccos(np.clip(abs(float(fit.normal[2])), 0.0, 1.0)))
 
-    vs, us = np.nonzero(mask.pixels)
+    rows, cols = mask.box
+    vs, us = np.nonzero(mask.pixels[mask.box])
+    vs += rows.start
+    us += cols.start
     cu, cv = mask.centroid_px
     d2c = (us - cu) ** 2 + (vs - cv) ** 2
     order = np.lexsort((us, vs, d2c))

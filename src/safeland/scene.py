@@ -213,8 +213,10 @@ class World:
         lo = np.floor(level).astype(np.int64)
         frac = level - lo
         out = np.zeros(xb.shape)
-        for lev in np.unique(lo):
+        for lev in range(int(lo.min()), int(lo.max()) + 1):
             selm = lo == lev
+            if not selm.any():
+                continue
             res_lo = self.texture_resolution * (2.0 ** lev)
             v_lo = _bilinear_grid(self.texture_mips[lev], res_lo,
                                   xb[selm], yb[selm], 0.0)

@@ -185,7 +185,7 @@ def _feasibility(tracks: list[bel.RegionTrack], rho_min: float, known: dict | No
         entry = known.get(track.id) if known else None
         if entry is None or entry[0] is not track.mask:
             gsd = track.mask.mean_depth / track.mask.camera.focal_length
-            feas, center_px = sel.inscribed_radius(track.mask.pixels, gsd, rho_min)
+            feas, center_px = sel.inscribed_radius(track.mask, gsd, rho_min)
             center = None if center_px is None else track.mask.camera.backproject(
                 center_px[0], center_px[1], track.mask.mean_depth)
             entry = (track.mask, feas, center)
@@ -296,9 +296,10 @@ def _execute(scenario: Scenario, params: Params, world: World,
             frame = _sense(scenario, world, state, rng)
         camera = frame.camera
 
-        sel_pixels = commit_mask.pixels & frame.valid
+        box = commit_mask.box
+        sel_pixels = commit_mask.pixels[box] & frame.valid[box]
         if sel_pixels.any():
-            z_t = float(frame.depth[sel_pixels].mean())
+            z_t = float(frame.depth[box][sel_pixels].mean())
 
         if k > 0:
             fs = srv.detect_and_track(frame.intensity, frame.valid, fs, params,

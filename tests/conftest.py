@@ -5,10 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from safeland.params import Params
 from safeland.scene import (CameraModel, DepthFrame, Scenario, build_world,
                             load_scenario, render_true_depth)
+from safeland.selector import inscribed_distance_sq
 from safeland.simloop import run_episode
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -59,6 +61,12 @@ def synthetic_frame(depth: np.ndarray, valid: np.ndarray | None = None,
     camera = CameraModel(w, h, focal, [0.0, 0.0, altitude])
     return DepthFrame(depth=np.where(valid, depth, 0.0), valid=valid,
                       intensity=intensity, camera=camera)
+
+
+def region_box(pixels: np.ndarray) -> dict:
+    """``RegionMask`` box and clearance crop of a mask alone in an obstacle-free frame."""
+    box = ndimage.find_objects(pixels.astype(np.int8))[0]
+    return {"box": box, "clearance_sq": inscribed_distance_sq(pixels)[box]}
 
 
 class _EnoughFrames(Exception):

@@ -12,6 +12,7 @@ from safeland.params import Params, validate
 from safeland.perception import CueVector, RegionMask
 
 import oracles
+from conftest import region_box
 
 
 def cues_for_l(l_f=1.0, l_s=1.0, l_o=1.0, m=None):
@@ -154,7 +155,8 @@ class TestRecursion:
 
 
 def region_with_cells(cells: np.ndarray, camera=None) -> RegionMask:
-    return RegionMask(pixels=np.ones((4, 4), dtype=bool), area_px=16,
+    pixels = np.ones((4, 4), dtype=bool)
+    return RegionMask(pixels=pixels, **region_box(pixels), area_px=16,
                       centroid_px=(1.5, 1.5), ground_footprint=cells,
                       footprint_res=0.1, mean_depth=5.0, valid_fraction=1.0,
                       camera=camera)

@@ -3,17 +3,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from safeland.perception import (CueVector, PlaneFit, RegionMask, _unique_cells,
-                                 compute_cues, extract_regions, fit_plane,
-                                 screen_frame, tls_plane)
+from safeland.perception import (CueVector, PlaneFit, RegionMask, _screen_result,
+                                 _unique_cells, compute_cues, extract_regions,
+                                 fit_plane, screen_frame, tls_plane)
 from safeland.scene import (Box, CameraModel, Scenario, build_world,
                             render_true_depth)
+from safeland.selector import inscribed_distance_sq, inscribed_radius
 
 import oracles
-from conftest import make_flat_scenario, synthetic_frame
+from conftest import make_flat_scenario, region_box, synthetic_frame
 
 
 class TestScreenFrame:
@@ -122,6 +124,54 @@ class TestExtractRegions:
         assert [r.area_px for r in above_min] == [a for a in areas if a > smallest]
 
 
+def screened(*rows: str) -> np.ndarray:
+    """Pixel classes of a screened frame: '.' passes, '#' obstacle, 'x' invalid."""
+    return np.array([[".#x".index(c) for c in row] for row in rows], dtype=np.int8)
+
+
+@st.composite
+def screened_frames(draw):
+    h, w = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+    classes = draw(arrays(np.int8, (h, w), elements=st.sampled_from([0, 0, 0, 1, 2])))
+    return classes, draw(st.integers(1, 6)), draw(st.sampled_from([0.0, 0.3, 0.9]))
+
+
+class TestClearance:
+    """A region's clearance crop is its own exact inscribed distance transform."""
+
+    # the examples, in order: a region touching every edge; components
+    # touching only diagonally; invalid holes; a component dropped by
+    # a_min; one dropped by max_invalid_frac; no obstacle; 1 px wide; 1 px tall
+    @settings(max_examples=300, deadline=None)
+    @given(case=screened_frames())
+    @example(case=(screened(".......", ".......", "...#...", ".......", "......."), 1, 0.3))
+    @example(case=(screened("..##", "..##", "##..", "##.."), 1, 0.3))
+    @example(case=(screened("......", ".x..x.", "......", "..xx#.", "......"), 1, 0.3))
+    @example(case=(screened("....#..", "....#..", "#####..", "..#....", ".x#...."), 5, 0.3))
+    @example(case=(screened("xx#...", "xx#...", "x.#...", "###..."), 1, 0.3))
+    @example(case=(screened("....", "..x.", "...."), 1, 0.3))
+    @example(case=(screened(".", ".", "#", ".", "x", "."), 1, 0.9))
+    @example(case=(screened(".#..x..#."), 1, 0.9))
+    def test_equals_per_mask_transform(self, params, case):
+        classes, a_min, max_invalid_frac = case
+        valid, passing = classes != 2, classes == 0
+        frame = synthetic_frame(np.full(classes.shape, 5.0), valid=valid)
+        regions = extract_regions(
+            frame, dataclasses.replace(params, a_min=a_min, max_invalid_frac=max_invalid_frac),
+            screen=_screen_result(passing, valid))
+        for region in regions:
+            mask = region.pixels
+            per_mask = inscribed_distance_sq(mask)
+            brute = np.where(mask, oracles.brute_force_distance_sq(~mask, pad_with_targets=True), 0)
+            assert np.array_equal(per_mask, brute)
+            box = region.box
+            assert np.array_equal(np.where(mask[box], region.clearance_sq, 0), per_mask[box])
+            feas, center = inscribed_radius(region, 0.1, params.rho_min)
+            v, u = np.unravel_index(int(np.argmax(per_mask)), mask.shape)
+            assert feas.rho == float(np.sqrt(float(per_mask.max()))) * 0.1
+            assert center == (int(u), int(v))
+
+
 class TestUniqueCells:
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
@@ -183,6 +233,16 @@ class TestFitPlane:
         collinear[5, :] = True   # one image row of a level plane: collinear ray hits
         assert fit_plane(frame, collinear) is None
 
+    @pytest.mark.parametrize("name", ["flat", "cluttered", "undersized"])
+    def test_region_box_equals_its_full_frame_mask(self, params, episode_frames, name):
+        for frame in episode_frames[name][1]:
+            for region in extract_regions(frame, params):
+                boxed, whole = fit_plane(frame, region), fit_plane(frame, region.pixels)
+                assert (boxed is None) == (whole is None)
+                if boxed is not None:
+                    assert boxed.normal.tobytes() == whole.normal.tobytes()
+                    assert (boxed.offset, boxed.rms_residual) == (whole.offset, whole.rms_residual)
+
     def test_order_and_duplication_invariance(self):
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(60, 3)) * [1.0, 1.0, 0.02] + [0, 0, 4.0]
@@ -241,7 +301,7 @@ class TestComputeCues:
         obstacle[:, 10] = True
         pixels = np.zeros((h, w), dtype=bool)
         pixels[19:22, 19:22] = True
-        region = RegionMask(pixels=pixels, area_px=9, centroid_px=(20.0, 20.0),
+        region = RegionMask(pixels=pixels, **region_box(pixels), area_px=9, centroid_px=(20.0, 20.0),
                             ground_footprint=np.zeros((1, 2), dtype=np.int64),
                             footprint_res=0.1, mean_depth=5.0, valid_fraction=1.0,
                             camera=frame.camera)
@@ -255,7 +315,7 @@ class TestComputeCues:
         depth = np.full((20, 20), 5.0)
         frame = synthetic_frame(depth)
         pixels = np.ones((20, 20), dtype=bool)
-        region = RegionMask(pixels=pixels, area_px=400, centroid_px=(9.5, 9.5),
+        region = RegionMask(pixels=pixels, **region_box(pixels), area_px=400, centroid_px=(9.5, 9.5),
                             ground_footprint=np.zeros((1, 2), dtype=np.int64),
                             footprint_res=0.1, mean_depth=5.0, valid_fraction=1.0,
                             camera=frame.camera)
@@ -271,7 +331,7 @@ class TestComputeCues:
         frame = synthetic_frame(depth, focal=50.0)
         pixels = np.zeros((h, w), dtype=bool)
         pixels[19:22, 29:32] = True
-        region = RegionMask(pixels=pixels, area_px=9, centroid_px=(30.0, 20.0),
+        region = RegionMask(pixels=pixels, **region_box(pixels), area_px=9, centroid_px=(30.0, 20.0),
                             ground_footprint=np.zeros((1, 2), dtype=np.int64),
                             footprint_res=0.1, mean_depth=5.0, valid_fraction=1.0,
                             camera=frame.camera)
@@ -290,7 +350,7 @@ class TestComputeCues:
         depth = np.full((20, 20), 5.0)
         frame = synthetic_frame(depth)
         pixels = np.ones((20, 20), dtype=bool)
-        region = RegionMask(pixels=pixels, area_px=400, centroid_px=(9.5, 9.5),
+        region = RegionMask(pixels=pixels, **region_box(pixels), area_px=400, centroid_px=(9.5, 9.5),
                             ground_footprint=np.zeros((1, 2), dtype=np.int64),
                             footprint_res=0.1, mean_depth=5.0, valid_fraction=1.0,
                             camera=frame.camera)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 import safeland.selector as sel_mod
 import safeland.simloop as simloop_mod
@@ -229,18 +230,37 @@ class TestEpisode:
         assert result.touchdown_error is None
 
 
+def scan_hires_scenario() -> Scenario:
+    """The scan_hires benchmark scenario: undersized.yaml at 192x144."""
+    return dataclasses.replace(load_scenario(SCENARIO_DIR / "undersized.yaml"),
+                               camera_width=192, camera_height=144, camera_focal=144.0)
+
+
+def per_mask_radius(region, gsd, rho_min):
+    """Inscribed radius from a distance transform of the region's full-frame mask."""
+    d2 = sel_mod.inscribed_distance_sq(region.pixels)
+    v, u = np.unravel_index(int(np.argmax(d2)), d2.shape)
+    rho = float(np.sqrt(float(d2[v, u])) * gsd)
+    return sel_mod.FeasibilityResult(rho=rho, feasible=rho >= rho_min), (int(u), int(v))
+
+
 class TestFeasibilityReuse:
     def test_reused_results_equal_a_fresh_computation(self, monkeypatch):
-        # the scan_hires benchmark episode: undersized.yaml at 192x144, 12 frames
-        scenario = dataclasses.replace(load_scenario(SCENARIO_DIR / "undersized.yaml"),
-                                       camera_width=192, camera_height=144,
-                                       camera_focal=144.0)
         real, real_radius = simloop_mod._feasibility, sel_mod.inscribed_radius
         radii = []
         frames = []   # (tracks, radii measured) per frame
+        fresh = []    # non-empty while the fresh side is computed
+
+        def radius(*args):
+            if fresh:
+                return per_mask_radius(*args)
+            radii.append(1)
+            return real_radius(*args)
 
         def checked(tracks, rho_min, known=None):
+            fresh.append(True)
             fresh_feas, fresh_centers, _ = real(tracks, rho_min)
+            fresh.clear()
             radii.clear()
             feasibility, centers, memo = real(tracks, rho_min, known)
             frames.append((len(tracks), len(radii)))
@@ -250,10 +270,36 @@ class TestFeasibilityReuse:
                 assert center.tobytes() == fresh_centers[tid].tobytes()
             return feasibility, centers, memo
 
-        monkeypatch.setattr(sel_mod, "inscribed_radius",
-                            lambda *args: radii.append(1) or real_radius(*args))
+        monkeypatch.setattr(sel_mod, "inscribed_radius", radius)
         monkeypatch.setattr(simloop_mod, "_feasibility", checked)
-        result = run_episode(scenario, Params(f_max=12), seed=0)
+        result = run_episode(scan_hires_scenario(), Params(f_max=12), seed=0)
         assert result.outcome == "timeout" and len(frames) == 12
         # unmatched tracks kept their masks and were not measured again
         assert 0 < sum(m for _, m in frames) < sum(n for n, _ in frames)
+
+
+class TestOneDistanceTransformPerFrame:
+    # every scan_hires frame sees an obstacle; the noise-free flat world's
+    # one scan frame sees none, and its execution frames screen nothing
+    @pytest.mark.parametrize("make_scenario", [scan_hires_scenario, make_flat_scenario])
+    def test_one_transform_per_scan_frame_with_an_obstacle(self, monkeypatch, make_scenario):
+        real = ndimage.distance_transform_edt
+        calls = [0]
+        frames = []   # (phase, transforms run, frame has an obstacle pixel)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        def observe(event, data):
+            if event == "scan_frame":
+                frames.append(("scan", calls[0], bool(data["screen"].obstacle_mask.any())))
+            elif event == "exec_frame":
+                frames.append(("exec", calls[0], False))
+            calls[0] = 0
+
+        monkeypatch.setattr(ndimage, "distance_transform_edt", counted)
+        run_episode(make_scenario(), Params(f_max=12), seed=0, observer=observe)
+        assert calls[0] == 0
+        assert [n for _, n, _ in frames] == [int(obstacle) for _, _, obstacle in frames]
+        assert any(phase == "scan" for phase, _, _ in frames)
