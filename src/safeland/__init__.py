@@ -7,8 +7,8 @@ commit a site; salient-point tracking and an interaction-matrix servo
 law fly the vehicle to touchdown.
 """
 
-from .belief import (RegionTrack, associate, footprint_iou, likelihood_safe,
-                     likelihood_unsafe, predict, step, update)
+from .belief import (RegionTrack, associate, likelihood_safe, likelihood_unsafe,
+                     predict, step, update)
 from .params import ConfigError, Params, apply_overrides, validate
 from .perception import (CueVector, PlaneFit, RegionMask, compute_cues,
                          extract_regions, fit_plane, screen_frame)

@@ -68,17 +68,6 @@ class RegionTrack:
     likelihoods: tuple[float, float] | None = None  # (l1, l0) of the last tick; None if unmatched
 
 
-def footprint_iou(cells_a: np.ndarray, cells_b: np.ndarray) -> float:
-    """IoU of two ground footprints given as (K, 2) integer cell arrays."""
-    if len(cells_a) == 0 or len(cells_b) == 0:
-        return 0.0
-    enc_a = cells_a[:, 0].astype(np.int64) * (2**32) + cells_a[:, 1].astype(np.int64)
-    enc_b = cells_b[:, 0].astype(np.int64) * (2**32) + cells_b[:, 1].astype(np.int64)
-    inter = np.intersect1d(enc_a, enc_b, assume_unique=True).size
-    union = enc_a.size + enc_b.size - inter
-    return inter / union if union else 0.0
-
-
 def _cell_keys(footprints: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Every cell of the footprints as one int64 key, with the index of its footprint."""
     cells = np.concatenate([np.zeros((0, 2), dtype=np.int64)]
@@ -88,12 +77,13 @@ def _cell_keys(footprints: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _iou_matrix(footprints_a: list[np.ndarray], footprints_b: list[np.ndarray]) -> np.ndarray:
-    """(A, B) ``footprint_iou`` of every pair, from one join over the encoded cells.
+    """(A, B) IoU of every pair of (K, 2) integer cell footprints, from one join.
 
     The cells of the B footprints are sorted once by key; every cell of
     an A footprint finds the B cells with its key by binary search, and
     the (a, b) pairs so found are counted into the intersections. An
-    empty footprint has IoU 0.0 with every other.
+    empty footprint has IoU 0.0 with every other. ``tests/oracles.py``
+    holds the pairwise reference, ``footprint_iou``.
     """
     n_a, n_b = len(footprints_a), len(footprints_b)
     keys_a, owner_a = _cell_keys(footprints_a)

@@ -122,10 +122,11 @@ class MapWriter:
         for track in data["tracks"]:
             if track.mask.camera is not frame.camera:
                 continue
-            belief_map[track.mask.pixels] = track.belief
+            pixels = track.mask.pixels
+            belief_map[pixels] = track.belief
             if track.likelihoods is not None:
-                like_map[track.mask.pixels] = track.likelihoods[0]
-            feas_map[track.mask.pixels] = min(data["feasibility"][track.id].rho / 2.0, 1.0)
+                like_map[pixels] = track.likelihoods[0]
+            feas_map[pixels] = min(data["feasibility"][track.id].rho / 2.0, 1.0)
         raster.gray_to_pgm(self.dir / f"{stem}_belief.pgm", belief_map)
         raster.gray_to_pgm(self.dir / f"{stem}_likelihood.pgm", like_map)
         raster.gray_to_pgm(self.dir / f"{stem}_feasibility.pgm", feas_map)

@@ -21,12 +21,14 @@ obstacle or beyond the border. Were q a candidate pixel of another
 component, its 4-neighbour one step closer to the region pixel would lie
 in the region and join the two.
 
-Every region carries its bounding box and its crop of the clearance map,
-and each per-region stage reads the region's pixels inside its box.
-Row-major order inside a box is the frame's row-major order, so sums,
-orderings and argmaxes are those of the full-frame arrays. Region
-extraction forms world x and y only for each region's valid pixels,
-along the camera's rays.
+A region lives in its bounding box: it stores the box, its pixels inside
+the box and its own copy of the box's clearance, and keeps no array of
+the frame's size nor a view into one. Every per-region stage reads the
+box. Row-major order inside a box is the frame's row-major order, so
+sums, orderings and argmaxes are those of the full-frame arrays. The
+full-frame mask is pasted from the box on request, for the readers that
+need one. Region extraction forms world x and y only for each region's
+valid pixels, along the camera's rays.
 """
 from __future__ import annotations
 
@@ -52,9 +54,9 @@ class ScreenResult:
 
 @dataclass(frozen=True)
 class RegionMask:
-    pixels: np.ndarray             # (H, W) bool, 4-connected component
-    box: tuple[slice, slice]       # bounding box of the component
-    clearance_sq: np.ndarray       # the box's crop of the frame's clearance map (px²)
+    box: tuple[slice, slice]       # bounding box of the component in the frame
+    box_pixels: np.ndarray         # box-sized bool, the 4-connected component
+    clearance_sq: np.ndarray       # box-sized copy of the frame's clearance map (px²)
     area_px: int
     centroid_px: tuple[float, float]   # (u, v)
     ground_footprint: np.ndarray   # (K, 2) int64 occupied ground cells
@@ -62,6 +64,13 @@ class RegionMask:
     mean_depth: float              # m, over valid pixels in the region
     valid_fraction: float
     camera: CameraModel            # camera the mask was observed with
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """The component as a new (camera.height, camera.width) bool mask."""
+        out = np.zeros((self.camera.height, self.camera.width), dtype=bool)
+        out[self.box] = self.box_pixels
+        return out
 
 
 @dataclass(frozen=True)
@@ -181,12 +190,10 @@ def extract_regions(frame: DepthFrame, params: Params,
         ground = np.stack([cam_x + xd[box[1]][uu] * d,
                            cam_y + yd[box[0]][vv] * d], axis=1)
         cells = _unique_cells(np.floor(ground / params.assoc_res).astype(np.int64))
-        pixels = np.zeros(labels.shape, dtype=bool)
-        pixels[box] = comp
         regions.append(RegionMask(
-            pixels=pixels,
             box=box,
-            clearance_sq=screen.clearance_sq[box],
+            box_pixels=comp,
+            clearance_sq=screen.clearance_sq[box].copy(),
             area_px=area,
             centroid_px=centroid,
             ground_footprint=cells,
@@ -233,19 +240,14 @@ def tls_plane(points: np.ndarray) -> PlaneFit | None:
     return PlaneFit(normal=normal, offset=offset, rms_residual=rms, inlier_count=n)
 
 
-def fit_plane(frame: DepthFrame, mask: RegionMask | np.ndarray) -> PlaneFit | None:
+def fit_plane(frame: DepthFrame, region: RegionMask) -> PlaneFit | None:
     """Total-least-squares plane over the region's back-projected 3-D points.
 
     Returns None when the points are too few or collinear; the caller
     skips the region for this frame.
     """
-    if isinstance(mask, RegionMask):
-        rows, cols = mask.box
-        pix = mask.pixels[mask.box]
-    else:
-        pix = np.asarray(mask, dtype=bool)
-        rows, cols = slice(0, pix.shape[0]), slice(0, pix.shape[1])
-    sel = pix & frame.valid[rows, cols]
+    rows, cols = region.box
+    sel = region.box_pixels & frame.valid[rows, cols]
     if int(sel.sum()) < 3:
         return None
     vs, us = np.nonzero(sel)
@@ -267,7 +269,7 @@ def compute_cues(frame: DepthFrame, mask: RegionMask, fit: PlaneFit,
     slope = float(np.arccos(np.clip(abs(float(fit.normal[2])), 0.0, 1.0)))
 
     rows, cols = mask.box
-    vs, us = np.nonzero(mask.pixels[mask.box])
+    vs, us = np.nonzero(mask.box_pixels)
     vs += rows.start
     us += cols.start
     cu, cv = mask.centroid_px

@@ -2,11 +2,12 @@
 
 The inscribed radius of a region is the largest clearance over its
 pixels, the distance to the nearest pixel outside the region, converted
-to meters by the ground sample distance. A region
-extracted from a screened frame carries its crop of the frame's
-clearance map (see ``perception``), so its radius costs no distance
-transform of its own. Any other boolean mask is measured with scipy's
-exact Euclidean distance transform, rounded to the squared integer pixel
+to meters by the ground sample distance. A region extracted from a
+screened frame carries its box-sized copy of the frame's clearance map
+(see ``perception``), so its radius is an argmax over its box and costs
+no distance transform of its own; the loop measures every track on every
+scan frame. A plain boolean mask is measured with scipy's exact
+Euclidean distance transform, rounded to the squared integer pixel
 distances it represents, on the mask's bounding box: the ring of pixels
 around the box is background or image border, and no background pixel
 beyond the ring is nearer to a mask pixel than the ring is. Either way
@@ -71,8 +72,8 @@ def inscribed_radius(mask: RegionMask | np.ndarray, ground_sample_distance: floa
                      rho_min: float) -> tuple[FeasibilityResult, tuple[int, int] | None]:
     """Max inscribed radius of a region plus the pixel attaining it.
 
-    ``mask`` is a ``perception.RegionMask``, read through its box and
-    clearance crop, or an (H, W) boolean array. Ties resolve to the
+    ``mask`` is a ``perception.RegionMask``, read through its box mask and
+    clearance copy, or an (H, W) boolean array. Ties resolve to the
     lowest row, then lowest column. An empty mask is infeasible with rho
     0 and no center.
     """
@@ -88,7 +89,7 @@ def inscribed_radius(mask: RegionMask | np.ndarray, ground_sample_distance: floa
         d2 = inscribed_distance_sq(m[box])
     else:
         box = mask.box
-        d2 = np.where(mask.pixels[box], mask.clearance_sq, 0)
+        d2 = np.where(mask.box_pixels, mask.clearance_sq, 0)
     # row-major argmax in the box = lowest row, then column, in the frame
     v, u = np.unravel_index(int(np.argmax(d2)), d2.shape)
     rho = float(np.sqrt(float(d2[v, u])) * ground_sample_distance)

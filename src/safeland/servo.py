@@ -360,10 +360,6 @@ class VelocityCommand:
     vy: float  # m/s, camera y (image down)
     vz: float  # m/s, up-positive; descent is negative
 
-    @property
-    def lateral_norm(self) -> float:
-        return math.hypot(self.vx, self.vy)
-
 
 HOVER = VelocityCommand(0.0, 0.0, 0.0)
 

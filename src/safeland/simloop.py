@@ -8,8 +8,9 @@ over the committed center and descends. Tracking loss beyond the grace
 window aborts to hover. A scan that flies into an obstacle taller than
 the scan altitude ends the episode as crashed. Both phases take each
 frame from one sense step (render, then corrupt) and read every setting
-from ``Params``. Touchdown is tested
-against the surface under the vehicle, box tops included.
+from ``Params``. Every scan frame measures the feasibility of every
+track afresh, from the box-sized arrays of the region it holds. Touchdown
+is tested against the surface under the vehicle, box tops included.
 
 Vehicle motion is kinematic: a first-order velocity response with time
 constant ``t_v`` followed by Euler position integration. Commands from
@@ -173,26 +174,19 @@ def run_episode(scenario: Scenario, params: Params, seed: int,
     return result
 
 
-def _feasibility(tracks: list[bel.RegionTrack], rho_min: float, known: dict | None = None):
-    """Inscribed radius of every track, with the world point of its center.
-
-    Returns them with a memo, track id -> (mask, feasibility, center or
-    None), to pass as ``known`` next frame: a track still holding the
-    same mask object, as an unmatched track does, reuses its result.
-    """
-    memo: dict[int, tuple] = {}
+def _feasibility(tracks: list[bel.RegionTrack], rho_min: float):
+    """Inscribed radius of every track, and the world point of its center by track id."""
+    feasibility: dict[int, sel.FeasibilityResult] = {}
+    centers: dict[int, np.ndarray] = {}
     for track in tracks:
-        entry = known.get(track.id) if known else None
-        if entry is None or entry[0] is not track.mask:
-            gsd = track.mask.mean_depth / track.mask.camera.focal_length
-            feas, center_px = sel.inscribed_radius(track.mask, gsd, rho_min)
-            center = None if center_px is None else track.mask.camera.backproject(
-                center_px[0], center_px[1], track.mask.mean_depth)
-            entry = (track.mask, feas, center)
-        memo[track.id] = entry
-    feasibility = {tid: feas for tid, (_, feas, _) in memo.items()}
-    centers = {tid: center for tid, (_, _, center) in memo.items() if center is not None}
-    return feasibility, centers, memo
+        mask = track.mask
+        feas, center_px = sel.inscribed_radius(
+            mask, mask.mean_depth / mask.camera.focal_length, rho_min)
+        feasibility[track.id] = feas
+        if center_px is not None:
+            centers[track.id] = mask.camera.backproject(
+                center_px[0], center_px[1], mask.mean_depth)
+    return feasibility, centers
 
 
 def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Generator,
@@ -210,7 +204,6 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
         speed=params.v_xy_max)
     tracks: list[bel.RegionTrack] = []
     next_id = 0
-    known: dict = {}
     for t in range(params.f_max):
         if state.position[2] <= world.surface_height_at(state.position[0], state.position[1]):
             result.outcome = "crashed"
@@ -231,7 +224,7 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
                 frame, region, fit, screen.obstacle_dist_px, params)
         bel.step(tracks, matched_cues, params)
 
-        feasibility, centers, known = _feasibility(tracks, params.rho_min, known)
+        feasibility, centers = _feasibility(tracks, params.rho_min)
         centers_ground = {tid: (float(c[0]), float(c[1])) for tid, c in centers.items()}
         infeasible_beliefs = [tr.belief for tr in tracks
                               if not feasibility[tr.id].feasible]
@@ -297,7 +290,7 @@ def _execute(scenario: Scenario, params: Params, world: World,
         camera = frame.camera
 
         box = commit_mask.box
-        sel_pixels = commit_mask.pixels[box] & frame.valid[box]
+        sel_pixels = commit_mask.box_pixels & frame.valid[box]
         if sel_pixels.any():
             z_t = float(frame.depth[box][sel_pixels].mean())
 

@@ -8,6 +8,7 @@ import pytest
 from scipy import ndimage
 
 from safeland.params import Params
+from safeland.perception import RegionMask
 from safeland.scene import (CameraModel, DepthFrame, Scenario, build_world,
                             load_scenario, render_true_depth)
 from safeland.selector import inscribed_distance_sq
@@ -64,9 +65,20 @@ def synthetic_frame(depth: np.ndarray, valid: np.ndarray | None = None,
 
 
 def region_box(pixels: np.ndarray) -> dict:
-    """``RegionMask`` box and clearance crop of a mask alone in an obstacle-free frame."""
+    """``RegionMask`` box, box mask and clearance of a mask alone in an obstacle-free frame."""
     box = ndimage.find_objects(pixels.astype(np.int8))[0]
-    return {"box": box, "clearance_sq": inscribed_distance_sq(pixels)[box]}
+    return {"box": box, "box_pixels": pixels[box].copy(),
+            "clearance_sq": inscribed_distance_sq(pixels)[box]}
+
+
+def frame_region(frame: DepthFrame, pixels: np.ndarray) -> RegionMask:
+    """A ``RegionMask`` of a full-frame mask of ``frame``, as ``fit_plane`` reads it."""
+    vs, us = np.nonzero(pixels)
+    return RegionMask(**region_box(pixels), area_px=int(vs.size),
+                      centroid_px=(float(us.mean()), float(vs.mean())),
+                      ground_footprint=np.zeros((0, 2), dtype=np.int64),
+                      footprint_res=0.1, mean_depth=float(frame.depth[pixels].mean()),
+                      valid_fraction=1.0, camera=frame.camera)
 
 
 class _EnoughFrames(Exception):

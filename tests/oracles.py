@@ -43,6 +43,17 @@ def brute_force_distance_sq(targets: np.ndarray, pad_with_targets: bool = False)
     return out
 
 
+def footprint_iou(cells_a: np.ndarray, cells_b: np.ndarray) -> float:
+    """IoU of two ground footprints given as (K, 2) integer cell arrays."""
+    if len(cells_a) == 0 or len(cells_b) == 0:
+        return 0.0
+    enc_a = cells_a[:, 0].astype(np.int64) * (2**32) + cells_a[:, 1].astype(np.int64)
+    enc_b = cells_b[:, 0].astype(np.int64) * (2**32) + cells_b[:, 1].astype(np.int64)
+    inter = np.intersect1d(enc_a, enc_b, assume_unique=True).size
+    union = enc_a.size + enc_b.size - inter
+    return inter / union if union else 0.0
+
+
 def pinv_normal_equations(l_mat: np.ndarray) -> np.ndarray:
     """Right pseudoinverse of a full-row-rank matrix via the normal equations."""
     l_mat = np.asarray(l_mat, dtype=float)

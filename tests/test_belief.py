@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safeland.belief import (RegionTrack, _iou_matrix, associate, cue_likelihood,
-                             footprint_iou, likelihood_safe, likelihood_unsafe,
-                             predict, step, update)
+                             likelihood_safe, likelihood_unsafe, predict, step,
+                             update)
 from safeland.params import Params, validate
 from safeland.perception import CueVector, RegionMask
 
@@ -156,7 +156,7 @@ class TestRecursion:
 
 def region_with_cells(cells: np.ndarray, camera=None) -> RegionMask:
     pixels = np.ones((4, 4), dtype=bool)
-    return RegionMask(pixels=pixels, **region_box(pixels), area_px=16,
+    return RegionMask(**region_box(pixels), area_px=16,
                       centroid_px=(1.5, 1.5), ground_footprint=cells,
                       footprint_res=0.1, mean_depth=5.0, valid_fraction=1.0,
                       camera=camera)
@@ -176,7 +176,7 @@ ASSOC = Params(b0=0.5, iou_min=0.3, track_grace=5)
 class TestAssociation:
     def test_identical_footprints_match_with_unit_iou(self):
         cells = square_cells(0.0, 0.0, 1.0)
-        assert footprint_iou(cells, cells) == 1.0
+        assert oracles.footprint_iou(cells, cells) == 1.0
         track = RegionTrack(id=0, mask=region_with_cells(cells), belief=0.7)
         result = associate([track], [region_with_cells(cells)], ASSOC, next_id=1)
         assert len(result.matches) == 1
@@ -185,7 +185,7 @@ class TestAssociation:
     def test_disjoint_footprints_do_not_match(self):
         a = square_cells(0.0, 0.0, 1.0)
         b = square_cells(5.0, 5.0, 1.0)
-        assert footprint_iou(a, b) == 0.0
+        assert oracles.footprint_iou(a, b) == 0.0
         track = RegionTrack(id=0, mask=region_with_cells(a), belief=0.7)
         result = associate([track], [region_with_cells(b)], ASSOC, next_id=1)
         matched_ids = [t.id for t, _ in result.matches]
@@ -195,7 +195,7 @@ class TestAssociation:
     def test_half_overlapping_squares_match_at_third(self):
         a = square_cells(0.0, 0.0, 1.0)
         b = square_cells(0.5, 0.0, 1.0)
-        assert footprint_iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert oracles.footprint_iou(a, b) == pytest.approx(1.0 / 3.0, abs=1e-12)
         track = RegionTrack(id=0, mask=region_with_cells(a), belief=0.7)
         result = associate([track], [region_with_cells(b)], ASSOC, next_id=1)
         assert [t.id for t, _ in result.matches] == [0]
@@ -209,7 +209,8 @@ class TestAssociation:
         # split into two lists that share some of them
         cells = [np.array(sorted(f), dtype=np.int64).reshape(-1, 2) for f in footprints]
         a, b = cells[: len(cells) // 2 + 1], cells[len(cells) // 3:]
-        loop = np.array([[footprint_iou(x, y) for y in b] for x in a]).reshape(len(a), len(b))
+        loop = np.array([[oracles.footprint_iou(x, y) for y in b]
+                         for x in a]).reshape(len(a), len(b))
         join = _iou_matrix(a, b)
         assert join.shape == loop.shape
         assert join.tobytes() == loop.tobytes()

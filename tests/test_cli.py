@@ -1,4 +1,5 @@
 import csv
+import hashlib
 from dataclasses import fields
 
 import pytest
@@ -16,6 +17,11 @@ UNDERSIZED_F10_SEEDS_0_1_DIGEST = \
     "01efd864827f74f82fe2c1779a0383b02389ba25c3e609e60aec0a2544ace43d"
 FLAT_SEED0_CSV_DIGEST = \
     "a9c7914acf8ad9e260c329c11ddc7dfcd94634af0307ca6000e977015b27efa5"
+# SHA-256 of maps/*.pgm, concatenated in name order, for seed 0 at f_max=10
+MAPS_SEED0_F10 = {
+    "flat": (68, "6b573241f735e9e242f6de6d562c2bf6a844a714b78bc16c2b6d229b877c795b"),
+    "undersized": (6, "78b0f8ce6d4bb863d10cf3e29e39c94b0ab3b4c15708c1294b72b69619297bf4"),
+}
 
 
 class TestParsing:
@@ -229,6 +235,16 @@ class TestMain:
         maps = list((tmp_path / "maps").glob("*.pgm"))
         assert maps, "map emission requested but no PGM written"
         assert output_digest(tmp_path) == FLAT_SEED0_CSV_DIGEST
+
+    @pytest.mark.parametrize("name", sorted(MAPS_SEED0_F10))
+    def test_map_rasters_are_pinned(self, tmp_path, name):
+        main([str(SCENARIO_DIR / f"{name}.yaml"), "--set", "f_max=10",
+              "--emit", "maps", "--out", str(tmp_path)])
+        maps = sorted((tmp_path / "maps").glob("*.pgm"), key=lambda p: p.name)
+        digest = hashlib.sha256()
+        for path in maps:
+            digest.update(path.read_bytes())
+        assert (len(maps), digest.hexdigest()) == MAPS_SEED0_F10[name]
 
     def test_rerun_emits_byte_identical_files(self, tmp_path):
         args = [str(SCENARIO_DIR / "undersized.yaml"), "--set", "f_max=10",

@@ -15,7 +15,7 @@ from safeland.scene import (Box, CameraModel, Scenario, build_world,
 from safeland.selector import inscribed_distance_sq, inscribed_radius
 
 import oracles
-from conftest import make_flat_scenario, region_box, synthetic_frame
+from conftest import frame_region, make_flat_scenario, region_box, synthetic_frame
 
 
 class TestScreenFrame:
@@ -188,7 +188,7 @@ class TestFitPlane:
     def test_exact_level_plane(self, params):
         depth = np.full((40, 60), 5.0)
         frame = synthetic_frame(depth)
-        fit = fit_plane(frame, np.ones_like(depth, dtype=bool))
+        fit = fit_plane(frame, frame_region(frame, np.ones_like(depth, dtype=bool)))
         assert fit is not None
         assert np.allclose(fit.normal, [0.0, 0.0, -1.0], atol=1e-12)
         assert fit.rms_residual == pytest.approx(0.0, abs=1e-9)
@@ -200,7 +200,7 @@ class TestFitPlane:
         xn = (np.arange(w) - (w - 1) / 2.0) / f
         depth = np.tile(5.0 / (1.0 - 0.1 * xn), (h, 1))
         frame = synthetic_frame(depth, focal=f)
-        fit = fit_plane(frame, np.ones_like(depth, dtype=bool))
+        fit = fit_plane(frame, frame_region(frame, np.ones_like(depth, dtype=bool)))
         expected = np.array([0.1, 0.0, -1.0])
         expected /= np.linalg.norm(expected)
         assert np.allclose(fit.normal, expected, atol=1e-6)
@@ -211,7 +211,7 @@ class TestFitPlane:
         h, w, f = 25, 20, 72.0   # 500 points
         depth = np.full((h, w), 5.0) + rng.normal(0.0, 0.005, size=(h, w))
         frame = synthetic_frame(depth, focal=f)
-        fit = fit_plane(frame, np.ones_like(depth, dtype=bool))
+        fit = fit_plane(frame, frame_region(frame, np.ones_like(depth, dtype=bool)))
         assert 0.0035 <= fit.rms_residual <= 0.0065
         angle = math.degrees(math.acos(min(abs(fit.normal @ np.array([0, 0, -1.0])), 1.0)))
         assert angle < 1.0
@@ -228,16 +228,22 @@ class TestFitPlane:
         frame = synthetic_frame(depth)
         two_px = np.zeros((10, 10), dtype=bool)
         two_px[2, 2] = two_px[3, 3] = True
-        assert fit_plane(frame, two_px) is None
+        assert fit_plane(frame, frame_region(frame, two_px)) is None
         collinear = np.zeros((10, 10), dtype=bool)
         collinear[5, :] = True   # one image row of a level plane: collinear ray hits
-        assert fit_plane(frame, collinear) is None
+        assert fit_plane(frame, frame_region(frame, collinear)) is None
 
     @pytest.mark.parametrize("name", ["flat", "cluttered", "undersized"])
     def test_region_box_equals_its_full_frame_mask(self, params, episode_frames, name):
         for frame in episode_frames[name][1]:
             for region in extract_regions(frame, params):
-                boxed, whole = fit_plane(frame, region), fit_plane(frame, region.pixels)
+                # camera-frame points back-projected from the full-frame mask
+                sel = region.pixels & frame.valid
+                vs, us = np.nonzero(sel)
+                xn, yn = frame.camera.normalized(us, vs)
+                d = frame.depth[sel]
+                whole = tls_plane(np.stack([xn * d, yn * d, d], axis=-1))
+                boxed = fit_plane(frame, region)
                 assert (boxed is None) == (whole is None)
                 if boxed is not None:
                     assert boxed.normal.tobytes() == whole.normal.tobytes()
@@ -301,7 +307,7 @@ class TestComputeCues:
         obstacle[:, 10] = True
         pixels = np.zeros((h, w), dtype=bool)
         pixels[19:22, 19:22] = True
-        region = RegionMask(pixels=pixels, **region_box(pixels), area_px=9, centroid_px=(20.0, 20.0),
+        region = RegionMask(**region_box(pixels), area_px=9, centroid_px=(20.0, 20.0),
                             ground_footprint=np.zeros((1, 2), dtype=np.int64),
                             footprint_res=0.1, mean_depth=5.0, valid_fraction=1.0,
                             camera=frame.camera)
@@ -315,7 +321,7 @@ class TestComputeCues:
         depth = np.full((20, 20), 5.0)
         frame = synthetic_frame(depth)
         pixels = np.ones((20, 20), dtype=bool)
-        region = RegionMask(pixels=pixels, **region_box(pixels), area_px=400, centroid_px=(9.5, 9.5),
+        region = RegionMask(**region_box(pixels), area_px=400, centroid_px=(9.5, 9.5),
                             ground_footprint=np.zeros((1, 2), dtype=np.int64),
                             footprint_res=0.1, mean_depth=5.0, valid_fraction=1.0,
                             camera=frame.camera)
@@ -331,7 +337,7 @@ class TestComputeCues:
         frame = synthetic_frame(depth, focal=50.0)
         pixels = np.zeros((h, w), dtype=bool)
         pixels[19:22, 29:32] = True
-        region = RegionMask(pixels=pixels, **region_box(pixels), area_px=9, centroid_px=(30.0, 20.0),
+        region = RegionMask(**region_box(pixels), area_px=9, centroid_px=(30.0, 20.0),
                             ground_footprint=np.zeros((1, 2), dtype=np.int64),
                             footprint_res=0.1, mean_depth=5.0, valid_fraction=1.0,
                             camera=frame.camera)
@@ -350,7 +356,7 @@ class TestComputeCues:
         depth = np.full((20, 20), 5.0)
         frame = synthetic_frame(depth)
         pixels = np.ones((20, 20), dtype=bool)
-        region = RegionMask(pixels=pixels, **region_box(pixels), area_px=400, centroid_px=(9.5, 9.5),
+        region = RegionMask(**region_box(pixels), area_px=400, centroid_px=(9.5, 9.5),
                             ground_footprint=np.zeros((1, 2), dtype=np.int64),
                             footprint_res=0.1, mean_depth=5.0, valid_fraction=1.0,
                             camera=frame.camera)

@@ -195,7 +195,7 @@ class TestControl:
 
     def test_saturation_preserves_lateral_direction(self, params):
         cmd = control((0.3, 0.2), 5.0, params)
-        assert cmd.lateral_norm == pytest.approx(params.v_xy_max, abs=1e-12)
+        assert math.hypot(cmd.vx, cmd.vy) == pytest.approx(params.v_xy_max, abs=1e-12)
         v_raw = ibvs_velocity((0.3, 0.2), 5.0, (0.3, 0.2), params.lam)
         cross = cmd.vx * v_raw[1] - cmd.vy * v_raw[0]
         assert cross == pytest.approx(0.0, abs=1e-12)
@@ -209,7 +209,7 @@ class TestControl:
             cmd = control(s, z, params)
             assert math.isfinite(cmd.vx) and math.isfinite(cmd.vy) \
                 and math.isfinite(cmd.vz)
-            assert cmd.lateral_norm <= params.v_xy_max * (1 + 1e-12)
+            assert math.hypot(cmd.vx, cmd.vy) <= params.v_xy_max * (1 + 1e-12)
             assert abs(cmd.vz) <= params.v_z_max * (1 + 1e-12)
 
     def test_bad_depth_hovers(self, params):

@@ -244,38 +244,50 @@ def per_mask_radius(region, gsd, rho_min):
     return sel_mod.FeasibilityResult(rho=rho, feasible=rho >= rho_min), (int(u), int(v))
 
 
-class TestFeasibilityReuse:
-    def test_reused_results_equal_a_fresh_computation(self, monkeypatch):
-        real, real_radius = simloop_mod._feasibility, sel_mod.inscribed_radius
-        radii = []
-        frames = []   # (tracks, radii measured) per frame
-        fresh = []    # non-empty while the fresh side is computed
+class TestFeasibility:
+    def test_every_track_equals_its_full_frame_mask_transform(self, monkeypatch):
+        real = simloop_mod._feasibility
+        frames = []   # tracks measured per frame
 
-        def radius(*args):
-            if fresh:
-                return per_mask_radius(*args)
-            radii.append(1)
-            return real_radius(*args)
+        def checked(tracks, rho_min):
+            feasibility, centers = real(tracks, rho_min)
+            frames.append(len(tracks))
+            assert list(feasibility) == [track.id for track in tracks]
+            for track in tracks:
+                mask = track.mask
+                feas, (u, v) = per_mask_radius(mask, mask.mean_depth / mask.camera.focal_length,
+                                               rho_min)
+                assert feasibility[track.id] == feas
+                center = mask.camera.backproject(u, v, mask.mean_depth)
+                assert centers[track.id].tobytes() == center.tobytes()
+            return feasibility, centers
 
-        def checked(tracks, rho_min, known=None):
-            fresh.append(True)
-            fresh_feas, fresh_centers, _ = real(tracks, rho_min)
-            fresh.clear()
-            radii.clear()
-            feasibility, centers, memo = real(tracks, rho_min, known)
-            frames.append((len(tracks), len(radii)))
-            assert list(feasibility.items()) == list(fresh_feas.items())
-            assert list(centers) == list(fresh_centers)
-            for tid, center in centers.items():
-                assert center.tobytes() == fresh_centers[tid].tobytes()
-            return feasibility, centers, memo
-
-        monkeypatch.setattr(sel_mod, "inscribed_radius", radius)
         monkeypatch.setattr(simloop_mod, "_feasibility", checked)
         result = run_episode(scan_hires_scenario(), Params(f_max=12), seed=0)
+        assert result.outcome == "timeout" and len(frames) == 12 and sum(frames) > 0
+
+
+class TestRegionsLiveInTheirBox:
+    def test_masks_hold_box_sized_arrays_of_their_own(self):
+        frames = []
+
+        def observe(event, data):
+            if event != "scan_frame":
+                return
+            frames.append(data["t"])
+            for track in data["tracks"]:
+                mask = track.mask
+                shape = (mask.box[0].stop - mask.box[0].start,
+                         mask.box[1].stop - mask.box[1].start)
+                for f in dataclasses.fields(mask):
+                    value = getattr(mask, f.name)
+                    if isinstance(value, np.ndarray) and f.name != "ground_footprint":
+                        assert value.shape == shape, (data["t"], track.id, f.name)
+            for region in data["regions"]:
+                assert not np.shares_memory(region.clearance_sq, data["screen"].clearance_sq)
+
+        result = run_episode(scan_hires_scenario(), Params(f_max=12), seed=0, observer=observe)
         assert result.outcome == "timeout" and len(frames) == 12
-        # unmatched tracks kept their masks and were not measured again
-        assert 0 < sum(m for _, m in frames) < sum(n for n, _ in frames)
 
 
 class TestOneDistanceTransformPerFrame:
