@@ -167,11 +167,8 @@ def run(config: RunConfig, scenario: Scenario) -> list[EpisodeResult]:
         observer = MapWriter(out_dir, seed) if "maps" in config.emit else None
         return run_episode(scenario, config.params, seed, observer=observer)
 
-    if config.workers > 1 and len(config.seeds) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(one, config.seeds))
-    else:
-        results = [one(seed) for seed in config.seeds]
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        results = list(pool.map(one, config.seeds))
 
     if "summary" in config.emit:
         _write_csv(out_dir / "summary.csv", SUMMARY_FIELDS,

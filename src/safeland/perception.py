@@ -21,14 +21,20 @@ obstacle or beyond the border. Were q a candidate pixel of another
 component, its 4-neighbour one step closer to the region pixel would lie
 in the region and join the two.
 
-A region lives in its bounding box: it stores the box, its pixels inside
-the box and its own copy of the box's clearance, and keeps no array of
-the frame's size nor a view into one. Every per-region stage reads the
-box. Row-major order inside a box is the frame's row-major order, so
-sums, orderings and argmaxes are those of the full-frame arrays. The
-full-frame mask is pasted from the box on request, for the readers that
-need one. Region extraction forms world x and y only for each region's
-valid pixels, along the camera's rays.
+Each region is measured once, when it is extracted: its inscribed
+radius ``rho`` is its largest clearance, converted to meters at the
+region's mean depth, and its ``center`` is the world point of the pixel
+attaining it, the lowest row and then column on ties. The selector only
+decides on these numbers.
+
+A region lives in its bounding box: it stores the box and its pixels
+inside the box, and keeps no array of the frame's size nor a view into
+one. Every per-region stage reads the box. Row-major order inside a box
+is the frame's row-major order, so sums, orderings and argmaxes are
+those of the full-frame arrays. The full-frame mask is pasted from the
+box on request, for the readers that need one. Region extraction forms
+world x and y only for each region's valid pixels, along the camera's
+rays.
 """
 from __future__ import annotations
 
@@ -56,13 +62,12 @@ class ScreenResult:
 class RegionMask:
     box: tuple[slice, slice]       # bounding box of the component in the frame
     box_pixels: np.ndarray         # box-sized bool, the 4-connected component
-    clearance_sq: np.ndarray       # box-sized copy of the frame's clearance map (px²)
     area_px: int
     centroid_px: tuple[float, float]   # (u, v)
     ground_footprint: np.ndarray   # (K, 2) int64 occupied ground cells
-    footprint_res: float           # m per footprint cell
     mean_depth: float              # m, over valid pixels in the region
-    valid_fraction: float
+    rho: float                     # m, largest inscribed radius at the mean depth
+    center: np.ndarray             # (3,) world point of the pixel attaining rho
     camera: CameraModel            # camera the mask was observed with
 
     @property
@@ -78,7 +83,6 @@ class PlaneFit:
     normal: np.ndarray     # unit 3-vector, camera frame, oriented toward the camera
     offset: float          # m, distance of the plane from the camera center
     rms_residual: float    # m, RMS orthogonal distance
-    inlier_count: int
 
 
 @dataclass(frozen=True)
@@ -190,16 +194,19 @@ def extract_regions(frame: DepthFrame, params: Params,
         ground = np.stack([cam_x + xd[box[1]][uu] * d,
                            cam_y + yd[box[0]][vv] * d], axis=1)
         cells = _unique_cells(np.floor(ground / params.assoc_res).astype(np.int64))
+        mean_depth = float(d.mean())
+        # row-major argmax in the box = lowest row, then column, in the frame
+        d2 = np.where(comp, screen.clearance_sq[box], 0)
+        v, u = np.unravel_index(int(np.argmax(d2)), d2.shape)
         regions.append(RegionMask(
             box=box,
             box_pixels=comp,
-            clearance_sq=screen.clearance_sq[box].copy(),
             area_px=area,
             centroid_px=centroid,
             ground_footprint=cells,
-            footprint_res=params.assoc_res,
-            mean_depth=float(d.mean()),
-            valid_fraction=n_valid / area,
+            mean_depth=mean_depth,
+            rho=float(np.sqrt(float(d2[v, u])) * (mean_depth / frame.camera.focal_length)),
+            center=frame.camera.backproject(u + box[1].start, v + box[0].start, mean_depth),
             camera=frame.camera,
         ))
     regions.sort(key=lambda r: -r.area_px)
@@ -237,7 +244,7 @@ def tls_plane(points: np.ndarray) -> PlaneFit | None:
         normal = -normal                       # orient toward the camera
     rms = float(np.sqrt(max(evals[0], 0.0)))
     offset = float(-normal @ centroid)
-    return PlaneFit(normal=normal, offset=offset, rms_residual=rms, inlier_count=n)
+    return PlaneFit(normal=normal, offset=offset, rms_residual=rms)
 
 
 def fit_plane(frame: DepthFrame, region: RegionMask) -> PlaneFit | None:

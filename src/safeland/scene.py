@@ -498,7 +498,6 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
     xd, yd = camera.rays()
 
     t_box = np.full((h, w), np.inf)
-    box_shade = np.ones((h, w))
     for box in world.obstacles:
         base = float(world.height_at(*box.center))
         if (abs(origin[0] - box.center[0]) < box.extents[0] / 2.0
@@ -511,10 +510,7 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
                        box.center[1] + box.extents[1] / 2.0, base + box.height])
         if not _box_in_view(origin, xd, yd, lo, hi, world.resolution):
             continue
-        t = _box_intersect(origin, xd, yd, lo, hi)
-        closer = t < t_box
-        t_box = np.where(closer, t, t_box)
-        box_shade = np.where(closer, 0.85, box_shade)
+        t_box = np.minimum(t_box, _box_intersect(origin, xd, yd, lo, hi))
 
     # one lattice for every ray, set by the global height range; only the
     # part of it that can hold a ray's first hit is evaluated
@@ -564,7 +560,7 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
     hit_x = origin[0] + safe_depth * xd
     hit_y = origin[1] + safe_depth * yd[:, None]
     footprint = safe_depth / camera.focal_length   # m of ground per pixel at the hit
-    shade = np.where(t_box < t_terrain, box_shade, 1.0)
+    shade = np.where(t_box < t_terrain, 0.85, 1.0)   # boxes are shaded darker
     albedo = world.texture_at(hit_x, hit_y, footprint)
     intensity = np.where(valid, np.clip(albedo * shade, 0.0, 1.0), 0.0)
     depth = np.where(valid, depth, 0.0)

@@ -2,28 +2,25 @@
 
 The inscribed radius of a region is the largest clearance over its
 pixels, the distance to the nearest pixel outside the region, converted
-to meters by the ground sample distance. A region extracted from a
-screened frame carries its box-sized copy of the frame's clearance map
-(see ``perception``), so its radius is an argmax over its box and costs
-no distance transform of its own; the loop measures every track on every
-scan frame. A plain boolean mask is measured with scipy's exact
+to meters by the ground sample distance. ``perception`` measures every
+region once, when it extracts it, and the selector only decides:
+a track is feasible when its region's radius reaches ``rho_min``, and
+the commit takes the feasible track of highest belief.
+
+``inscribed_radius`` measures a plain boolean mask with scipy's exact
 Euclidean distance transform, rounded to the squared integer pixel
 distances it represents, on the mask's bounding box: the ring of pixels
 around the box is background or image border, and no background pixel
-beyond the ring is nearer to a mask pixel than the ring is. Either way
-the image border counts as background, so a mask touching the edge is
-one pixel from it.
+beyond the ring is nearer to a mask pixel than the ring is. The image
+border counts as background, so a mask touching the edge is one pixel
+from it. It is the reference a region's radius is checked against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import ndimage
-
-if TYPE_CHECKING:
-    from .perception import RegionMask
 
 
 def distance_sq_to(targets: np.ndarray, pad_with_targets: bool = False) -> np.ndarray:
@@ -68,28 +65,22 @@ class LandingDecision:
     frame: int
 
 
-def inscribed_radius(mask: RegionMask | np.ndarray, ground_sample_distance: float,
+def inscribed_radius(mask: np.ndarray, ground_sample_distance: float,
                      rho_min: float) -> tuple[FeasibilityResult, tuple[int, int] | None]:
-    """Max inscribed radius of a region plus the pixel attaining it.
+    """Max inscribed radius of an (H, W) boolean mask plus the pixel attaining it.
 
-    ``mask`` is a ``perception.RegionMask``, read through its box mask and
-    clearance copy, or an (H, W) boolean array. Ties resolve to the
-    lowest row, then lowest column. An empty mask is infeasible with rho
-    0 and no center.
+    Ties resolve to the lowest row, then lowest column. An empty mask is
+    infeasible with rho 0 and no center.
     """
     if ground_sample_distance <= 0.0:
         raise ValueError("ground sample distance must be positive")
-    if isinstance(mask, np.ndarray):
-        m = mask.astype(bool, copy=False)
-        rows = np.flatnonzero(m.any(axis=1))
-        if rows.size == 0:
-            return FeasibilityResult(rho=0.0, feasible=False), None
-        cols = np.flatnonzero(m.any(axis=0))
-        box = (slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1))
-        d2 = inscribed_distance_sq(m[box])
-    else:
-        box = mask.box
-        d2 = np.where(mask.box_pixels, mask.clearance_sq, 0)
+    m = mask.astype(bool, copy=False)
+    rows = np.flatnonzero(m.any(axis=1))
+    if rows.size == 0:
+        return FeasibilityResult(rho=0.0, feasible=False), None
+    cols = np.flatnonzero(m.any(axis=0))
+    box = (slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1))
+    d2 = inscribed_distance_sq(m[box])
     # row-major argmax in the box = lowest row, then column, in the frame
     v, u = np.unravel_index(int(np.argmax(d2)), d2.shape)
     rho = float(np.sqrt(float(d2[v, u])) * ground_sample_distance)

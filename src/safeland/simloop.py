@@ -8,8 +8,8 @@ over the committed center and descends. Tracking loss beyond the grace
 window aborts to hover. A scan that flies into an obstacle taller than
 the scan altitude ends the episode as crashed. Both phases take each
 frame from one sense step (render, then corrupt) and read every setting
-from ``Params``. Every scan frame measures the feasibility of every
-track afresh, from the box-sized arrays of the region it holds. Touchdown
+from ``Params``. A track's feasibility and centre are those of the
+region it holds, measured once when the region was extracted. Touchdown
 is tested against the surface under the vehicle, box tops included.
 
 Vehicle motion is kinematic: a first-order velocity response with time
@@ -174,21 +174,6 @@ def run_episode(scenario: Scenario, params: Params, seed: int,
     return result
 
 
-def _feasibility(tracks: list[bel.RegionTrack], rho_min: float):
-    """Inscribed radius of every track, and the world point of its center by track id."""
-    feasibility: dict[int, sel.FeasibilityResult] = {}
-    centers: dict[int, np.ndarray] = {}
-    for track in tracks:
-        mask = track.mask
-        feas, center_px = sel.inscribed_radius(
-            mask, mask.mean_depth / mask.camera.focal_length, rho_min)
-        feasibility[track.id] = feas
-        if center_px is not None:
-            centers[track.id] = mask.camera.backproject(
-                center_px[0], center_px[1], mask.mean_depth)
-    return feasibility, centers
-
-
 def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Generator,
           state: VehicleState, result: EpisodeResult, observer: Observer | None):
     """Fly the lawnmower pattern until a commit or ``f_max`` frames.
@@ -224,8 +209,12 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
                 frame, region, fit, screen.obstacle_dist_px, params)
         bel.step(tracks, matched_cues, params)
 
-        feasibility, centers = _feasibility(tracks, params.rho_min)
-        centers_ground = {tid: (float(c[0]), float(c[1])) for tid, c in centers.items()}
+        feasibility = {tr.id: sel.FeasibilityResult(rho=tr.mask.rho,
+                                                    feasible=tr.mask.rho >= params.rho_min)
+                       for tr in tracks}
+        centers_ground = {tr.id: (float(tr.mask.center[0]), float(tr.mask.center[1]))
+                          for tr in tracks}
+        feasible_beliefs = [tr.belief for tr in tracks if feasibility[tr.id].feasible]
         infeasible_beliefs = [tr.belief for tr in tracks
                               if not feasibility[tr.id].feasible]
         if infeasible_beliefs:
@@ -235,9 +224,10 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
 
         _record_tracks(result, t, tracks, matched_cues)
         setpoint = guidance.setpoint(state.position)
-        _record_frame(result, t, "scan", state, setpoint_cmd=setpoint,
-                      n_regions=len(regions), tracks=tracks,
-                      feasibility=feasibility)
+        _record_frame(result, t, "scan", state, setpoint,
+                      n_regions=len(regions), n_tracks=len(tracks),
+                      best_belief=max((tr.belief for tr in tracks), default=None),
+                      best_feasible_belief=max(feasible_beliefs, default=None))
         if observer is not None:
             observer("scan_frame", {
                 "t": t, "frame": frame, "regions": regions, "tracks": tracks,
@@ -256,7 +246,7 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
             if observer is not None:
                 observer("commit", {"t": t, "decision": decision,
                                     "frame": frame, "mask": commit_mask})
-            return state, commit_mask, centers[decision.track_id]
+            return state, commit_mask, commit_mask.center
 
         state = step_vehicle_world(state, setpoint, dt, params.t_v)
     return None
@@ -302,13 +292,16 @@ def _execute(scenario: Scenario, params: Params, world: World,
             lost += 1
             cmd = srv.HOVER
             s_virtual = None
+            error = {}
         else:
             lost = 0
             s_virtual = srv.anchor_normalized(fs, camera)
             cmd = srv.control(s_virtual, z_t, params)
+            error = {"s_u": float(s_virtual[0]), "s_v": float(s_virtual[1]),
+                     "e_norm": float(np.hypot(s_virtual[0], s_virtual[1]))}
 
-        _record_frame(result, t, "exec", state, servo_cmd=cmd, fs=fs,
-                      s_virtual=s_virtual, depth_z=z_t)
+        _record_frame(result, t, "exec", state, (cmd.vx, cmd.vy, cmd.vz),
+                      n_regions=0, n_tracks=0, n_features=fs.n_t, depth_z=z_t, **error)
         if observer is not None:
             observer("exec_frame", {"t": t, "frame": frame, "features": fs,
                                     "cmd": cmd, "s": s_virtual, "z": z_t})
@@ -377,39 +370,13 @@ def _record_tracks(result: EpisodeResult, t: int, tracks: list[bel.RegionTrack],
 
 
 def _record_frame(result: EpisodeResult, t: int, phase: str, state: VehicleState,
-                  setpoint_cmd: np.ndarray | None = None,
-                  servo_cmd: srv.VelocityCommand | None = None,
-                  n_regions: int = 0, tracks: list[bel.RegionTrack] | None = None,
-                  feasibility: dict[int, sel.FeasibilityResult] | None = None,
-                  fs: srv.FeatureSet | None = None,
-                  s_virtual: np.ndarray | None = None,
-                  depth_z: float | None = None) -> None:
-    best_belief = max((tr.belief for tr in tracks), default=None) if tracks else None
-    best_feasible = None
-    if tracks and feasibility:
-        feas_beliefs = [tr.belief for tr in tracks if feasibility[tr.id].feasible]
-        best_feasible = max(feas_beliefs, default=None)
-    if servo_cmd is not None:
-        cmd_vals = (servo_cmd.vx, servo_cmd.vy, servo_cmd.vz)
-    elif setpoint_cmd is not None:
-        cmd_vals = tuple(float(v) for v in setpoint_cmd)
-    else:
-        cmd_vals = (None, None, None)
-    e_norm = float(np.hypot(s_virtual[0], s_virtual[1])) if s_virtual is not None else None
-    result.telemetry.append({
-        "t": t, "phase": phase,
-        "x": float(state.position[0]), "y": float(state.position[1]),
-        "z": float(state.position[2]),
-        "vx": float(state.velocity[0]), "vy": float(state.velocity[1]),
-        "vz": float(state.velocity[2]),
-        "cmd_vx": cmd_vals[0], "cmd_vy": cmd_vals[1], "cmd_vz": cmd_vals[2],
-        "n_regions": n_regions, "n_tracks": len(tracks) if tracks else 0,
-        "best_belief": best_belief, "best_feasible_belief": best_feasible,
-        "n_features": fs.n_t if fs is not None else None,
-        "s_u": None if s_virtual is None else float(s_virtual[0]),
-        "s_v": None if s_virtual is None else float(s_virtual[1]),
-        "e_norm": e_norm, "depth_z": depth_z,
-    })
+                  cmd, **fields) -> None:
+    """Append one telemetry row; ``fields`` sets the phase's own columns, the rest stay empty."""
+    row = dict.fromkeys(TELEMETRY_FIELDS)
+    row.update(zip(("x", "y", "z", "vx", "vy", "vz", "cmd_vx", "cmd_vy", "cmd_vz"),
+                   map(float, (*state.position, *state.velocity, *cmd))))
+    row.update(t=t, phase=phase, **fields)
+    result.telemetry.append(row)
 
 
 def format_row(row: dict, fields: tuple[str, ...]) -> list[str]:

@@ -11,7 +11,6 @@ from safeland.params import Params
 from safeland.perception import RegionMask
 from safeland.scene import (CameraModel, DepthFrame, Scenario, build_world,
                             load_scenario, render_true_depth)
-from safeland.selector import inscribed_distance_sq
 from safeland.simloop import run_episode
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -65,10 +64,10 @@ def synthetic_frame(depth: np.ndarray, valid: np.ndarray | None = None,
 
 
 def region_box(pixels: np.ndarray) -> dict:
-    """``RegionMask`` box, box mask and clearance of a mask alone in an obstacle-free frame."""
+    """``RegionMask`` box and box mask of a full-frame mask, with rho and center
+    left at zero: fitting, cues and association do not read them."""
     box = ndimage.find_objects(pixels.astype(np.int8))[0]
-    return {"box": box, "box_pixels": pixels[box].copy(),
-            "clearance_sq": inscribed_distance_sq(pixels)[box]}
+    return {"box": box, "box_pixels": pixels[box].copy(), "rho": 0.0, "center": np.zeros(3)}
 
 
 def frame_region(frame: DepthFrame, pixels: np.ndarray) -> RegionMask:
@@ -77,8 +76,7 @@ def frame_region(frame: DepthFrame, pixels: np.ndarray) -> RegionMask:
     return RegionMask(**region_box(pixels), area_px=int(vs.size),
                       centroid_px=(float(us.mean()), float(vs.mean())),
                       ground_footprint=np.zeros((0, 2), dtype=np.int64),
-                      footprint_res=0.1, mean_depth=float(frame.depth[pixels].mean()),
-                      valid_fraction=1.0, camera=frame.camera)
+                      mean_depth=float(frame.depth[pixels].mean()), camera=frame.camera)
 
 
 class _EnoughFrames(Exception):

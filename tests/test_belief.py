@@ -158,8 +158,7 @@ def region_with_cells(cells: np.ndarray, camera=None) -> RegionMask:
     pixels = np.ones((4, 4), dtype=bool)
     return RegionMask(**region_box(pixels), area_px=16,
                       centroid_px=(1.5, 1.5), ground_footprint=cells,
-                      footprint_res=0.1, mean_depth=5.0, valid_fraction=1.0,
-                      camera=camera)
+                      mean_depth=5.0, camera=camera)
 
 
 def square_cells(x0: float, y0: float, side: float, res: float = 0.1) -> np.ndarray:

@@ -12,7 +12,7 @@ from safeland.perception import (CueVector, PlaneFit, RegionMask, _screen_result
                                  fit_plane, screen_frame, tls_plane)
 from safeland.scene import (Box, CameraModel, Scenario, build_world,
                             render_true_depth)
-from safeland.selector import inscribed_distance_sq, inscribed_radius
+from safeland.selector import inscribed_distance_sq
 
 import oracles
 from conftest import frame_region, make_flat_scenario, region_box, synthetic_frame
@@ -137,7 +137,7 @@ def screened_frames(draw):
 
 
 class TestClearance:
-    """A region's clearance crop is its own exact inscribed distance transform."""
+    """A region's rho and center are those of its own exact inscribed distance transform."""
 
     # the examples, in order: a region touching every edge; components
     # touching only diagonally; invalid holes; a component dropped by
@@ -164,12 +164,11 @@ class TestClearance:
             per_mask = inscribed_distance_sq(mask)
             brute = np.where(mask, oracles.brute_force_distance_sq(~mask, pad_with_targets=True), 0)
             assert np.array_equal(per_mask, brute)
-            box = region.box
-            assert np.array_equal(np.where(mask[box], region.clearance_sq, 0), per_mask[box])
-            feas, center = inscribed_radius(region, 0.1, params.rho_min)
-            v, u = np.unravel_index(int(np.argmax(per_mask)), mask.shape)
-            assert feas.rho == float(np.sqrt(float(per_mask.max()))) * 0.1
-            assert center == (int(u), int(v))
+            v, u = np.unravel_index(int(np.argmax(brute)), mask.shape)
+            gsd = region.mean_depth / frame.camera.focal_length
+            assert region.rho == float(np.sqrt(float(brute[v, u]))) * gsd
+            center = frame.camera.backproject(u, v, region.mean_depth)
+            assert region.center.tobytes() == center.tobytes()
 
 
 class TestUniqueCells:
@@ -309,10 +308,9 @@ class TestComputeCues:
         pixels[19:22, 19:22] = True
         region = RegionMask(**region_box(pixels), area_px=9, centroid_px=(20.0, 20.0),
                             ground_footprint=np.zeros((1, 2), dtype=np.int64),
-                            footprint_res=0.1, mean_depth=5.0, valid_fraction=1.0,
-                            camera=frame.camera)
+                            mean_depth=5.0, camera=frame.camera)
         fit = PlaneFit(normal=np.array([0.0, 0.0, -1.0]), offset=5.0,
-                       rms_residual=0.0, inlier_count=9)
+                       rms_residual=0.0)
         cues = compute_cues(frame, region, fit,
                             oracle_distance_px(obstacle), params)
         assert cues.obstacle == pytest.approx(math.exp(-2.0), abs=1e-12)
@@ -323,10 +321,9 @@ class TestComputeCues:
         pixels = np.ones((20, 20), dtype=bool)
         region = RegionMask(**region_box(pixels), area_px=400, centroid_px=(9.5, 9.5),
                             ground_footprint=np.zeros((1, 2), dtype=np.int64),
-                            footprint_res=0.1, mean_depth=5.0, valid_fraction=1.0,
-                            camera=frame.camera)
+                            mean_depth=5.0, camera=frame.camera)
         fit = PlaneFit(normal=np.array([0.0, 0.0, -1.0]), offset=5.0,
-                       rms_residual=0.0, inlier_count=400)
+                       rms_residual=0.0)
         cues = compute_cues(frame, region, fit,
                             oracle_distance_px(np.zeros((20, 20), dtype=bool)), params)
         assert cues.obstacle == 0.0
@@ -339,10 +336,9 @@ class TestComputeCues:
         pixels[19:22, 29:32] = True
         region = RegionMask(**region_box(pixels), area_px=9, centroid_px=(30.0, 20.0),
                             ground_footprint=np.zeros((1, 2), dtype=np.int64),
-                            footprint_res=0.1, mean_depth=5.0, valid_fraction=1.0,
-                            camera=frame.camera)
+                            mean_depth=5.0, camera=frame.camera)
         fit = PlaneFit(normal=np.array([0.0, 0.0, -1.0]), offset=5.0,
-                       rms_residual=0.0, inlier_count=9)
+                       rms_residual=0.0)
         scores = []
         for col in (25, 18, 10, 2):
             obstacle = np.zeros((h, w), dtype=bool)
@@ -358,15 +354,14 @@ class TestComputeCues:
         pixels = np.ones((20, 20), dtype=bool)
         region = RegionMask(**region_box(pixels), area_px=400, centroid_px=(9.5, 9.5),
                             ground_footprint=np.zeros((1, 2), dtype=np.int64),
-                            footprint_res=0.1, mean_depth=5.0, valid_fraction=1.0,
-                            camera=frame.camera)
+                            mean_depth=5.0, camera=frame.camera)
         n = np.array([0.1, 0.0, -1.0])
         n /= np.linalg.norm(n)
         cues_a = compute_cues(frame, region,
-                              PlaneFit(n, 5.0, 0.0, 400),
+                              PlaneFit(n, 5.0, 0.0),
                               oracle_distance_px(np.zeros((20, 20), dtype=bool)), params)
         cues_b = compute_cues(frame, region,
-                              PlaneFit(-n, 5.0, 0.0, 400),
+                              PlaneFit(-n, 5.0, 0.0),
                               oracle_distance_px(np.zeros((20, 20), dtype=bool)), params)
         assert cues_a.slope == pytest.approx(cues_b.slope, abs=1e-15)
 

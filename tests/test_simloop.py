@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import safeland.selector as sel_mod
-import safeland.simloop as simloop_mod
 from safeland.params import Params
 from safeland.scene import Box, CameraModel, NoiseModel, Scenario, load_scenario
 from safeland.servo import HOVER, VelocityCommand
@@ -245,25 +244,25 @@ def per_mask_radius(region, gsd, rho_min):
 
 
 class TestFeasibility:
-    def test_every_track_equals_its_full_frame_mask_transform(self, monkeypatch):
-        real = simloop_mod._feasibility
-        frames = []   # tracks measured per frame
+    def test_every_track_equals_its_full_frame_mask_transform(self):
+        params = Params(f_max=12)
+        frames = []   # tracks per frame
 
-        def checked(tracks, rho_min):
-            feasibility, centers = real(tracks, rho_min)
+        def observe(event, data):
+            if event != "scan_frame":
+                return
+            tracks, feasibility = data["tracks"], data["feasibility"]
             frames.append(len(tracks))
             assert list(feasibility) == [track.id for track in tracks]
             for track in tracks:
                 mask = track.mask
                 feas, (u, v) = per_mask_radius(mask, mask.mean_depth / mask.camera.focal_length,
-                                               rho_min)
+                                               params.rho_min)
                 assert feasibility[track.id] == feas
                 center = mask.camera.backproject(u, v, mask.mean_depth)
-                assert centers[track.id].tobytes() == center.tobytes()
-            return feasibility, centers
+                assert mask.center.tobytes() == center.tobytes()
 
-        monkeypatch.setattr(simloop_mod, "_feasibility", checked)
-        result = run_episode(scan_hires_scenario(), Params(f_max=12), seed=0)
+        result = run_episode(scan_hires_scenario(), params, seed=0, observer=observe)
         assert result.outcome == "timeout" and len(frames) == 12 and sum(frames) > 0
 
 
@@ -281,10 +280,13 @@ class TestRegionsLiveInTheirBox:
                          mask.box[1].stop - mask.box[1].start)
                 for f in dataclasses.fields(mask):
                     value = getattr(mask, f.name)
-                    if isinstance(value, np.ndarray) and f.name != "ground_footprint":
+                    if isinstance(value, np.ndarray) and f.name not in ("ground_footprint",
+                                                                        "center"):
                         assert value.shape == shape, (data["t"], track.id, f.name)
-            for region in data["regions"]:
-                assert not np.shares_memory(region.clearance_sq, data["screen"].clearance_sq)
+            for region in data["regions"]:   # no region holds a clearance array
+                arrays = {f.name for f in dataclasses.fields(region)
+                          if isinstance(getattr(region, f.name), np.ndarray)}
+                assert arrays == {"box_pixels", "ground_footprint", "center"}
 
         result = run_episode(scan_hires_scenario(), Params(f_max=12), seed=0, observer=observe)
         assert result.outcome == "timeout" and len(frames) == 12
