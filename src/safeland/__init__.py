@@ -15,8 +15,8 @@ from .perception import (CueVector, PlaneFit, RegionMask, compute_cues,
 from .scene import (Box, CameraModel, DepthFrame, FlatPatch, NoiseModel,
                     Scenario, World, build_world, corrupt, load_scenario,
                     render_true_depth, scenario_from_dict)
-from .selector import (FeasibilityResult, LandingDecision, distance_sq_to,
-                       inscribed_distance_sq, inscribed_radius, select)
+from .selector import (FeasibilityResult, distance_sq_to, inscribed_distance_sq,
+                       inscribed_radius, select)
 from .servo import (FeatureSet, VelocityCommand, control, detect_and_track,
                     detect_features, ibvs_velocity, interaction_matrix)
 from .simloop import EpisodeResult, VehicleState, run_episode, step_vehicle_world

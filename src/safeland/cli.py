@@ -142,16 +142,7 @@ def _write_csv(path: Path, fields: tuple[str, ...], rows: list[dict]) -> None:
 
 def _summary_row(res: EpisodeResult) -> dict:
     cx, cy = res.commit_center if res.commit_center else (None, None)
-    return {
-        "seed": res.seed, "outcome": res.outcome,
-        "frames_total": res.frames_total,
-        "frames_to_commit": res.frames_to_commit,
-        "commit_belief": res.commit_belief,
-        "commit_x": cx, "commit_y": cy, "commit_rho": res.commit_rho,
-        "touchdown_error": res.touchdown_error,
-        "infeasible_belief_at_commit": res.infeasible_belief_at_commit,
-        "peak_infeasible_belief": res.peak_infeasible_belief,
-    }
+    return {**vars(res), "commit_x": cx, "commit_y": cy}
 
 
 def run(config: RunConfig, scenario: Scenario) -> list[EpisodeResult]:

@@ -5,7 +5,8 @@ pixels, the distance to the nearest pixel outside the region, converted
 to meters by the ground sample distance. ``perception`` measures every
 region once, when it extracts it, and the selector only decides:
 a track is feasible when its region's radius reaches ``rho_min``, and
-the commit takes the feasible track of highest belief.
+``select`` returns the feasible track of highest belief, whose region
+carries the landing centre and radius the loop commits to.
 
 ``inscribed_radius`` measures a plain boolean mask with scipy's exact
 Euclidean distance transform, rounded to the squared integer pixel
@@ -56,15 +57,6 @@ class FeasibilityResult:
     feasible: bool   # rho >= rho_min exactly
 
 
-@dataclass(frozen=True)
-class LandingDecision:
-    track_id: int
-    center_ground: tuple[float, float]  # m, world x/y of the maximum-clearance point
-    rho: float
-    belief_at_commit: float
-    frame: int
-
-
 def inscribed_radius(mask: np.ndarray, ground_sample_distance: float,
                      rho_min: float) -> tuple[FeasibilityResult, tuple[int, int] | None]:
     """Max inscribed radius of an (H, W) boolean mask plus the pixel attaining it.
@@ -88,33 +80,13 @@ def inscribed_radius(mask: np.ndarray, ground_sample_distance: float,
     return FeasibilityResult(rho=rho, feasible=rho >= rho_min), center
 
 
-def select(tracks, feasibility: dict[int, FeasibilityResult],
-           centers: dict[int, tuple[float, float]], tau: float,
-           frame_index: int) -> LandingDecision | None:
-    """Constrained commit: argmax belief over feasible tracks, gated by tau.
+def select(tracks, feasibility: dict[int, FeasibilityResult], tau: float):
+    """Constrained commit: the feasible track of highest belief, gated by tau.
 
     Deterministic tie-break: higher belief, then larger rho, then lower
-    track id. Returns None when no track is feasible or the best feasible
-    belief is still under the threshold.
+    track id. Returns the winning track, or None when no track is
+    feasible or the best feasible belief is still under the threshold.
     """
-    best = None
-    best_key = None
-    for track in tracks:
-        feas = feasibility.get(track.id)
-        if feas is None or not feas.feasible:
-            continue
-        key = (-track.belief, -feas.rho, track.id)
-        if best_key is None or key < best_key:
-            best, best_key = track, key
-    if best is None:
-        return None
-    if best.belief < tau:
-        return None
-    feas = feasibility[best.id]
-    return LandingDecision(
-        track_id=best.id,
-        center_ground=tuple(centers[best.id]),
-        rho=feas.rho,
-        belief_at_commit=float(best.belief),
-        frame=frame_index,
-    )
+    best = min((tr for tr in tracks if feasibility[tr.id].feasible), default=None,
+               key=lambda tr: (-tr.belief, -feasibility[tr.id].rho, tr.id))
+    return best if best is not None and best.belief >= tau else None

@@ -66,17 +66,14 @@ def _variance_score(intensity: np.ndarray) -> np.ndarray:
 
 
 def detect_features(intensity: np.ndarray, allowed: np.ndarray, *,
-                    n_max: int, patch_radius: int,
-                    margin: int | None = None) -> np.ndarray:
-    """Top corner candidates as an (N, 2) integer (u, v) array."""
-    h, w = intensity.shape
+                    n_max: int, margin: int) -> np.ndarray:
+    """Top corner candidates at least ``margin`` px inside the image, as (N, 2) integer (u, v)."""
     score = _variance_score(intensity)
-    edge = patch_radius if margin is None else margin
     ok = allowed.copy()
-    ok[:edge, :] = False
-    ok[-edge:, :] = False
-    ok[:, :edge] = False
-    ok[:, -edge:] = False
+    ok[:margin, :] = False
+    ok[-margin:, :] = False
+    ok[:, :margin] = False
+    ok[:, -margin:] = False
     local_max = ndimage.maximum_filter(score, size=2 * _NMS_RADIUS + 1,
                                        mode="nearest") == score
     cand = ok & local_max & (score > _MIN_CORNER_SCORE)
@@ -262,19 +259,19 @@ def _resample(intensity: np.ndarray, points: np.ndarray,
 
 def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
                      previous: FeatureSet | None, params: Params, *,
-                     z_now: float = math.nan) -> FeatureSet:
+                     z_now: float) -> FeatureSet:
     """Initialize or advance the tracked feature set on a new intensity image.
 
     A returned set with ``n_t == 0`` is the tracking-lost signal. On
     initialization, detection is restricted to ``region_mask``; on later
     frames the mask bounds re-detection, which triggers whenever the
     population falls under ``n_min`` and searches a disk around the anchor.
+    ``z_now`` is the current region depth, finite and positive.
     """
     pr = params.patch_radius
     margin = pr + 3
     if previous is None:
-        pts = detect_features(intensity, region_mask, n_max=params.n_max,
-                              patch_radius=pr, margin=margin)
+        pts = detect_features(intensity, region_mask, n_max=params.n_max, margin=margin)
         ptsf = pts.astype(float)
         anchor = ptsf.mean(axis=0) if len(ptsf) else np.zeros(2)
         return FeatureSet(points=ptsf, patches=_sample_patches(intensity, ptsf, pr),
@@ -282,10 +279,7 @@ def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
 
     # known relative scale between template capture and now; warping the
     # template removes the matching bias a raw SSD would pick up
-    scale = 1.0
-    if math.isfinite(z_now) and math.isfinite(previous.ref_z) \
-            and previous.ref_z > 0.0 and z_now > 0.0:
-        scale = float(np.clip(previous.ref_z / z_now, 0.6, 1.8))
+    scale = float(np.clip(previous.ref_z / z_now, 0.6, 1.8))
 
     h_img, w_img = intensity.shape
     border = float(margin)  # cull points before border clipping degrades their matches
@@ -302,8 +296,7 @@ def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
     # refresh templates after a meaningful depth (scale) change; stored
     # positions snap to the new patch centers so no false motion enters
     # the anchor on the next frame
-    if new_pts.shape[0] and math.isfinite(z_now) and math.isfinite(ref_z) \
-            and ref_z > 0.0 and abs(z_now / ref_z - 1.0) > params.retemplate_ratio:
+    if new_pts.shape[0] and abs(z_now / ref_z - 1.0) > params.retemplate_ratio:
         new_pts, patches = _resample(intensity, new_pts, pr)
         ref_z = z_now
 
@@ -314,7 +307,7 @@ def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
         disk = (us - anchor[0]) ** 2 + (vs - anchor[1]) ** 2 <= radius ** 2
         allowed = disk & region_mask
         fresh = detect_features(intensity, allowed, n_max=params.n_max,
-                                patch_radius=pr, margin=margin).astype(float)
+                                margin=margin).astype(float)
         if fresh.shape[0]:
             if new_pts.shape[0]:
                 d2 = ((fresh[:, None, :] - new_pts[None, :, :]) ** 2).sum(axis=2)
@@ -324,8 +317,7 @@ def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
                 # the whole set must share one template capture depth:
                 # survivors are snapped and resampled alongside the new points
                 new_pts, patches = _resample(intensity, np.vstack([new_pts, fresh]), pr)
-                if math.isfinite(z_now):
-                    ref_z = z_now
+                ref_z = z_now
 
     return FeatureSet(points=new_pts, patches=patches, anchor_px=anchor, ref_z=ref_z)
 

@@ -9,7 +9,9 @@ window aborts to hover. A scan that flies into an obstacle taller than
 the scan altitude ends the episode as crashed. Both phases take each
 frame from one sense step (render, then corrupt) and read every setting
 from ``Params``. A track's feasibility and centre are those of the
-region it holds, measured once when the region was extracted. Touchdown
+region it holds, measured once when the region was extracted; the
+selector returns the winning track itself, and the commit and the
+terminal phase read its centre and radius from that region. Touchdown
 is tested against the surface under the vehicle, box tops included.
 
 Vehicle motion is kinematic: a first-order velocity response with time
@@ -178,7 +180,7 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
           state: VehicleState, result: EpisodeResult, observer: Observer | None):
     """Fly the lawnmower pattern until a commit or ``f_max`` frames.
 
-    Returns (state, committed mask, world point of its center), or None on
+    Returns (state, mask of the committed track's region), or None on
     timeout or when the vehicle has flown into the surface (outcome
     ``crashed``, ``frames_total`` counting the frames sensed before).
     """
@@ -212,15 +214,13 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
         feasibility = {tr.id: sel.FeasibilityResult(rho=tr.mask.rho,
                                                     feasible=tr.mask.rho >= params.rho_min)
                        for tr in tracks}
-        centers_ground = {tr.id: (float(tr.mask.center[0]), float(tr.mask.center[1]))
-                          for tr in tracks}
         feasible_beliefs = [tr.belief for tr in tracks if feasibility[tr.id].feasible]
         infeasible_beliefs = [tr.belief for tr in tracks
                               if not feasibility[tr.id].feasible]
         if infeasible_beliefs:
             result.peak_infeasible_belief = max(result.peak_infeasible_belief,
                                                 max(infeasible_beliefs))
-        decision = sel.select(tracks, feasibility, centers_ground, params.tau, t)
+        best = sel.select(tracks, feasibility, params.tau)
 
         _record_tracks(result, t, tracks, matched_cues)
         setpoint = guidance.setpoint(state.position)
@@ -235,18 +235,16 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
                 "feasibility": feasibility,
             })
 
-        if decision is not None:
+        if best is not None:
             result.frames_to_commit = t
-            result.commit_belief = decision.belief_at_commit
-            result.commit_center = decision.center_ground
-            result.commit_rho = decision.rho
-            result.infeasible_belief_at_commit = (
-                max(infeasible_beliefs) if infeasible_beliefs else None)
-            commit_mask = next(tr for tr in tracks if tr.id == decision.track_id).mask
+            result.commit_belief = float(best.belief)
+            result.commit_center = (float(best.mask.center[0]), float(best.mask.center[1]))
+            result.commit_rho = best.mask.rho
+            result.infeasible_belief_at_commit = max(infeasible_beliefs, default=None)
             if observer is not None:
-                observer("commit", {"t": t, "decision": decision,
-                                    "frame": frame, "mask": commit_mask})
-            return state, commit_mask, commit_mask.center
+                observer("commit", {"t": t, "track": best,
+                                    "frame": frame, "mask": best.mask})
+            return state, best.mask
 
         state = step_vehicle_world(state, setpoint, dt, params.t_v)
     return None
@@ -254,10 +252,16 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
 
 def _execute(scenario: Scenario, params: Params, world: World,
              rng: np.random.Generator, state: VehicleState,
-             commit_mask: per.RegionMask, c_world: np.ndarray, result: EpisodeResult,
+             commit_mask: per.RegionMask, result: EpisodeResult,
              observer: Observer | None) -> None:
-    """Servo over the committed center and descend until touchdown, abort or timeout."""
+    """Servo over the committed center and descend until touchdown, abort or timeout.
+
+    The sensed frame on which no feature is found is recorded as a
+    hovering ``exec`` row before the abort, so every sensed frame has
+    a telemetry row.
+    """
     dt = 1.0 / params.f_s
+    c_world = commit_mask.center
     start_t = result.frames_total
 
     # detect the feature cloud around the committed center; the anchor point
@@ -268,6 +272,8 @@ def _execute(scenario: Scenario, params: Params, world: World,
     if fs is None:
         result.outcome = "aborted"
         result.frames_total += 1
+        _record_frame(result, start_t, "exec", state, (0.0, 0.0, 0.0),
+                      n_regions=0, n_tracks=0, n_features=0)
         return
     fs.anchor_px = np.asarray(c_px, dtype=float)
 

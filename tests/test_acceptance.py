@@ -143,17 +143,15 @@ def test_05_hard_constraint_dominates_belief():
                                      feasible=False),
                 1: FeasibilityResult(rho=float(rng.uniform(0.55, 1.5)),
                                      feasible=True)}
-        centers = {0: (0.0, 0.0), 1: (1.0, 1.0)}
         for j in range(n_extra):
             tid = 2 + j
             rho = float(rng.uniform(0.0, 1.5))
             tracks.append(Track(tid, float(rng.uniform(0.0, 0.74))))
             feas[tid] = FeasibilityResult(rho=rho, feasible=rho >= 0.55)
-            centers[tid] = (0.0, 0.0)
-        decision = select(tracks, feas, centers, tau=0.75, frame_index=0)
-        assert decision is not None
-        assert feas[decision.track_id].feasible
-        assert decision.track_id != 0
+        best = select(tracks, feas, tau=0.75)
+        assert best is not None
+        assert feas[best.id].feasible
+        assert best.id != 0
         wins += 1
     assert wins == 200
     _report("05 hard-constraint-dominance (200/200 feasible commits)")

@@ -132,40 +132,32 @@ class TestSelect:
     def test_single_feasible_track_commits(self):
         tracks = [_Track(0, 0.9)]
         feas = {0: FeasibilityResult(rho=1.0, feasible=True)}
-        decision = select(tracks, feas, {0: (1.0, 2.0)}, tau=0.75, frame_index=3)
-        assert decision is not None
-        assert decision.track_id == 0
-        assert decision.belief_at_commit == 0.9
-        assert decision.frame == 3
-        assert decision.center_ground == (1.0, 2.0)
+        best = select(tracks, feas, tau=0.75)
+        assert best is tracks[0]
+        assert best.belief == 0.9
 
     def test_hard_constraint_dominates_higher_belief(self):
         tracks = [_Track(0, 0.99), _Track(1, 0.80)]
         feas = {0: FeasibilityResult(rho=0.3, feasible=False),
                 1: FeasibilityResult(rho=0.8, feasible=True)}
-        centers = {0: (0.0, 0.0), 1: (1.0, 1.0)}
-        decision = select(tracks, feas, centers, tau=0.75, frame_index=0)
-        assert decision.track_id == 1
+        assert select(tracks, feas, tau=0.75).id == 1
 
     def test_below_threshold_returns_none(self):
         tracks = [_Track(0, 0.6), _Track(1, 0.7)]
         feas = {0: FeasibilityResult(1.0, True), 1: FeasibilityResult(1.0, True)}
-        centers = {0: (0, 0), 1: (0, 0)}
-        assert select(tracks, feas, centers, tau=0.75, frame_index=0) is None
+        assert select(tracks, feas, tau=0.75) is None
 
     def test_no_feasible_track_returns_none(self):
         tracks = [_Track(0, 0.99)]
         feas = {0: FeasibilityResult(0.1, False)}
-        assert select(tracks, feas, {0: (0, 0)}, tau=0.75, frame_index=0) is None
+        assert select(tracks, feas, tau=0.75) is None
 
     def test_tie_break_larger_radius_then_lower_id(self):
         tracks = [_Track(0, 0.9), _Track(1, 0.9), _Track(2, 0.9)]
         feas = {0: FeasibilityResult(0.7, True),
                 1: FeasibilityResult(0.9, True),
                 2: FeasibilityResult(0.9, True)}
-        centers = {i: (0, 0) for i in range(3)}
-        decision = select(tracks, feas, centers, tau=0.75, frame_index=0)
-        assert decision.track_id == 1
+        assert select(tracks, feas, tau=0.75).id == 1
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(17)
@@ -175,10 +167,9 @@ class TestSelect:
             feas = {i: FeasibilityResult(rho=float(rng.uniform(0.0, 1.2)),
                                          feasible=bool(rng.random() < 0.6))
                     for i in range(n)}
-            centers = {i: (0.0, 0.0) for i in range(n)}
-            decision = select(tracks, feas, centers, tau=0.75, frame_index=0)
+            best = select(tracks, feas, tau=0.75)
             expected = brute_select(tracks, feas, 0.75)
-            assert (decision.track_id if decision else None) == expected
+            assert (best.id if best else None) == expected
 
     def test_argmax_invariant_to_common_positive_scaling(self):
         rng = np.random.default_rng(23)
@@ -187,13 +178,12 @@ class TestSelect:
             beliefs = rng.uniform(0.2, 0.99, n)
             feas = {i: FeasibilityResult(rho=float(rng.uniform(0.6, 1.2)),
                                          feasible=True) for i in range(n)}
-            centers = {i: (0.0, 0.0) for i in range(n)}
             scale = float(rng.uniform(0.1, 1.0 / beliefs.max()))
             a = select([_Track(i, float(b)) for i, b in enumerate(beliefs)],
-                       feas, centers, tau=0.0 + 1e-9, frame_index=0)
+                       feas, tau=0.0 + 1e-9)
             b = select([_Track(i, float(x * scale)) for i, x in enumerate(beliefs)],
-                       feas, centers, tau=0.0 + 1e-9, frame_index=0)
-            assert a.track_id == b.track_id
+                       feas, tau=0.0 + 1e-9)
+            assert a.id == b.id
 
     def test_committed_track_always_satisfies_radius_floor(self):
         rng = np.random.default_rng(31)
@@ -205,7 +195,6 @@ class TestSelect:
             for i in range(n):
                 rho = float(rng.uniform(0.0, 1.5))
                 feas[i] = FeasibilityResult(rho=rho, feasible=rho >= rho_min)
-            centers = {i: (0.0, 0.0) for i in range(n)}
-            decision = select(tracks, feas, centers, tau=0.5, frame_index=0)
-            if decision is not None:
-                assert feas[decision.track_id].rho >= rho_min
+            best = select(tracks, feas, tau=0.5)
+            if best is not None:
+                assert feas[best.id].rho >= rho_min

@@ -70,7 +70,7 @@ class TestTracking:
         allowed = np.zeros_like(img, dtype=bool)
         allowed[20:50, 30:70] = True
         pts = detect_features(img, allowed, n_max=params.n_max,
-                              patch_radius=params.patch_radius)
+                              margin=params.patch_radius)
         assert len(pts) > 0
         assert np.all((pts[:, 0] >= 30) & (pts[:, 0] < 70))
         assert np.all((pts[:, 1] >= 20) & (pts[:, 1] < 50))

@@ -142,13 +142,31 @@ class TestEpisode:
 
         def observer(event, data):
             if event == "commit":
-                commits.append(data["decision"])
+                commits.append((data["t"], data["track"]))
 
         result = run_episode(scenario, Params(f_max=50), seed=0,
                              observer=observer)
         assert result.outcome == "landed"
         assert len(commits) == 1
-        assert commits[0].frame == result.frames_to_commit
+        assert commits[0][0] == result.frames_to_commit
+        assert commits[0][1].belief == result.commit_belief
+
+    def test_commit_fields_are_the_committed_tracks_own(self):
+        scenario = load_scenario(SCENARIO_DIR / "flat.yaml")
+        committed = []
+
+        def observer(event, data):
+            if event == "commit":
+                track = data["track"]
+                assert data["mask"] is track.mask
+                committed.append((track.mask.center.copy(), track.mask.rho, track.belief))
+
+        result = run_episode(scenario, Params(f_max_exec=5), seed=0, observer=observer)
+        assert len(committed) == 1
+        center, rho, belief = committed[0]
+        assert result.commit_center == (center[0], center[1])
+        assert result.commit_rho == rho
+        assert result.commit_belief == belief
 
     def test_every_servo_command_within_limits(self, flat_episode):
         result, params = flat_episode
@@ -227,6 +245,12 @@ class TestEpisode:
         assert result.outcome == "aborted"
         assert result.frames_to_commit is not None   # commit happened on geometry
         assert result.touchdown_error is None
+        # the frame the features were sought on is recorded, hovering
+        assert result.frames_total == len(result.telemetry)
+        last = result.telemetry[-1]
+        assert last["phase"] == "exec" and last["t"] == result.frames_total - 1
+        assert (last["cmd_vx"], last["cmd_vy"], last["cmd_vz"]) == (0.0, 0.0, 0.0)
+        assert last["n_features"] == 0 and last["depth_z"] is None
 
 
 def scan_hires_scenario() -> Scenario:

@@ -8,10 +8,31 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracing  # noqa: E402
+from conftest import SCENARIO_DIR  # noqa: E402
+
+from safeland.params import Params  # noqa: E402
+from safeland.scene import load_scenario  # noqa: E402
+from safeland.simloop import run_episode  # noqa: E402
 
 _NAMES = tracing.STAGES + tracing.COUNTED
+# hooks the loop no longer reaches: a region's radius is measured when it is
+# extracted, and the render builds no per-pixel ray grid
+_IDLE = {"selector.feasibility", "scene.pixel_dirs"}
 
 
 @pytest.mark.parametrize("stage, owner, name", _NAMES, ids=[s for s, _, _ in _NAMES])
 def test_traced_name_resolves_on_the_package(stage, owner, name):
     assert callable(getattr(owner, name, None)), f"{stage}: {owner.__name__}.{name} is gone"
+
+
+def test_every_hooked_stage_is_called_by_an_episode():
+    """A stage the package imports by name instead of looking it up where the
+    tracer patches it would count zero calls; a short committed episode
+    reaches every stage but the idle ones."""
+    scenario = load_scenario(SCENARIO_DIR / "cluttered.yaml")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        result = run_episode(scenario, Params(f_max_exec=5), seed=0)
+    assert result.frames_to_commit is not None
+    uncalled = {stage for stage, _, _ in _NAMES if tracer.calls[stage] == 0}
+    assert uncalled == _IDLE
