@@ -7,8 +7,10 @@ safe/unsafe cue likelihoods. Likelihoods are floored so no track ever
 saturates; evidence always stays revisable.
 
 Association runs on ground-projected footprints (greedy best-IoU), so
-camera motion does not break track identity. Weights, likelihood scales,
-the floor and the persistence factor are read from ``Params``.
+camera motion does not break track identity. A footprint is its
+region's sorted unique ground-cell keys, as ``perception`` forms them;
+the IoU reads only their sizes and intersections. Weights, likelihood
+scales, the floor and the persistence factor are read from ``Params``.
 """
 from __future__ import annotations
 
@@ -69,15 +71,14 @@ class RegionTrack:
 
 
 def _cell_keys(footprints: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Every cell of the footprints as one int64 key, with the index of its footprint."""
-    cells = np.concatenate([np.zeros((0, 2), dtype=np.int64)]
-                           + [np.reshape(c, (-1, 2)) for c in footprints]).astype(np.int64)
+    """Every cell key of the footprints, with the index of its footprint."""
+    keys = np.concatenate([np.zeros(0, dtype=np.int64), *footprints])
     owner = np.repeat(np.arange(len(footprints)), [len(c) for c in footprints])
-    return cells[:, 0] * (2**32) + cells[:, 1], owner
+    return keys, owner
 
 
 def _iou_matrix(footprints_a: list[np.ndarray], footprints_b: list[np.ndarray]) -> np.ndarray:
-    """(A, B) IoU of every pair of (K, 2) integer cell footprints, from one join.
+    """(A, B) IoU of every pair of cell-key footprints, from one join.
 
     The cells of the B footprints are sorted once by key; every cell of
     an A footprint finds the B cells with its key by binary search, and

@@ -63,9 +63,11 @@ class RunConfig:
         unknown = tokens - _EMIT_TOKENS
         if unknown:
             raise ConfigError(f"unknown --emit values: {sorted(unknown)}")
+        if workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {workers}")
         return cls(scenario_path=Path(scenario), params=params,
                    seeds=tuple(parse_seeds(seeds)), out_dir=Path(out),
-                   emit=tokens, workers=max(workers, 1))
+                   emit=tokens, workers=workers)
 
 
 def parse_seeds(text: str) -> list[int]:

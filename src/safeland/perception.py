@@ -2,11 +2,13 @@
 
 Screening marks a pixel as locally landable when the windowed standard
 deviation of reconstructed world height and the depth gradient magnitude
-both stay under their thresholds. Passing pixels form 4-connected
-components; invalid (dropout) pixels are tolerated inside a component so
-holes do not shatter or shrink a region, but a region that is mostly
-invalid is dropped. Valid pixels that fail screening form the obstacle
-map consumed by the proximity cue.
+both stay under their thresholds. The gradient reads depth with invalid
+pixels and the ring beyond the image border marked NaN; a gradient with
+no valid neighbour to read is NaN and fails. Passing pixels form
+4-connected components; invalid (dropout) pixels are tolerated inside a
+component so holes do not shatter or shrink a region, but a region that
+is mostly invalid is dropped. Valid pixels that fail screening form the
+obstacle map consumed by the proximity cue.
 
 A pixel's world height is the camera height minus its depth (the
 camera looks straight down). Screening runs the frame's one distance
@@ -34,7 +36,8 @@ is the frame's row-major order, so sums, orderings and argmaxes are
 those of the full-frame arrays. The full-frame mask is pasted from the
 box on request, for the readers that need one. Region extraction forms
 world x and y only for each region's valid pixels, along the camera's
-rays.
+rays. Its ground footprint is the sorted unique int64 keys ``cx·2³² + cy``
+of the cells ``(cx, cy) = floor((x, y) / assoc_res)`` those points hit.
 """
 from __future__ import annotations
 
@@ -64,7 +67,7 @@ class RegionMask:
     box_pixels: np.ndarray         # box-sized bool, the 4-connected component
     area_px: int
     centroid_px: tuple[float, float]   # (u, v)
-    ground_footprint: np.ndarray   # (K, 2) int64 occupied ground cells
+    ground_footprint: np.ndarray   # (K,) sorted unique int64 ground-cell keys cx·2³² + cy
     mean_depth: float              # m, over valid pixels in the region
     rho: float                     # m, largest inscribed radius at the mean depth
     center: np.ndarray             # (3,) world point of the pixel attaining rho
@@ -115,15 +118,14 @@ def screen_frame(frame: DepthFrame, params: Params) -> ScreenResult:
         mean = winsum(hz) / count
         var = winsum(hz * hz) / count - mean * mean
     std = np.sqrt(np.clip(var, 0.0, None))
-    pass_var = valid & (count >= min_count) & (std <= params.v_max)
+    # count is a sum of ones up to the filter's rounding: round it first
+    pass_var = valid & (np.rint(count) >= min_count) & (std <= params.v_max)
 
-    # central differences where both neighbors are valid, one-sided otherwise
-    d = frame.depth
-    gx = _masked_gradient(d, valid, axis=1)
-    gy = _masked_gradient(d, valid, axis=0)
-    grad_ok = np.isfinite(gx) & np.isfinite(gy)
-    mag = np.where(grad_ok, np.hypot(np.where(grad_ok, gx, 0.0), np.where(grad_ok, gy, 0.0)), np.inf)
-    pass_grad = valid & grad_ok & (mag <= params.g_max)
+    # invalid depth is NaN, so a gradient that needs it is NaN and fails
+    d = np.where(valid, frame.depth, np.nan)
+    gx = _masked_gradient(d)
+    gy = _masked_gradient(d.T).T
+    pass_grad = np.hypot(gx, gy) <= params.g_max
 
     return _screen_result(pass_var & pass_grad, valid)
 
@@ -146,24 +148,15 @@ def _screen_result(pass_mask: np.ndarray, valid: np.ndarray) -> ScreenResult:
                         obstacle_dist_px=obstacle_dist_px, clearance_sq=clearance_sq)
 
 
-def _masked_gradient(d: np.ndarray, valid: np.ndarray, axis: int) -> np.ndarray:
-    prev_v = np.roll(valid, 1, axis=axis)
-    next_v = np.roll(valid, -1, axis=axis)
-    prev_d = np.roll(d, 1, axis=axis)
-    next_d = np.roll(d, -1, axis=axis)
-    # roll wraps around; kill the wrapped border samples
-    if axis == 0:
-        prev_v = prev_v.copy(); prev_v[0, :] = False
-        next_v = next_v.copy(); next_v[-1, :] = False
-    else:
-        prev_v = prev_v.copy(); prev_v[:, 0] = False
-        next_v = next_v.copy(); next_v[:, -1] = False
-    central = (next_d - prev_d) * 0.5
-    fwd = next_d - d
-    bwd = d - prev_d
-    out = np.where(prev_v & next_v, central,
-                   np.where(next_v, fwd, np.where(prev_v, bwd, np.nan)))
-    return np.where(valid, out, np.nan)
+def _masked_gradient(d: np.ndarray) -> np.ndarray:
+    """Per-row difference of NaN-marked depth, padded with NaN: central where
+    both neighbours are valid, else toward the one valid neighbour, else
+    NaN. (An invalid pixel between two valid ones reads the central one.)
+    """
+    pad = np.pad(d, ((0, 0), (1, 1)), constant_values=np.nan)
+    prev, nxt = pad[:, :-2], pad[:, 2:]
+    central = (nxt - prev) * 0.5
+    return np.where(np.isnan(central), np.where(np.isnan(nxt), d - prev, nxt - d), central)
 
 
 def extract_regions(frame: DepthFrame, params: Params,
@@ -191,9 +184,9 @@ def extract_regions(frame: DepthFrame, params: Params,
         centroid = (float((us + box[1].start).mean()), float((vs + box[0].start).mean()))
         vv, uu = np.nonzero(comp_valid)
         d = frame.depth[box][comp_valid]
-        ground = np.stack([cam_x + xd[box[1]][uu] * d,
-                           cam_y + yd[box[0]][vv] * d], axis=1)
-        cells = _unique_cells(np.floor(ground / params.assoc_res).astype(np.int64))
+        # the ground cell of each valid pixel
+        cx = np.floor((cam_x + xd[box[1]][uu] * d) / params.assoc_res).astype(np.int64)
+        cy = np.floor((cam_y + yd[box[0]][vv] * d) / params.assoc_res).astype(np.int64)
         mean_depth = float(d.mean())
         # row-major argmax in the box = lowest row, then column, in the frame
         d2 = np.where(comp, screen.clearance_sq[box], 0)
@@ -203,7 +196,7 @@ def extract_regions(frame: DepthFrame, params: Params,
             box_pixels=comp,
             area_px=area,
             centroid_px=centroid,
-            ground_footprint=cells,
+            ground_footprint=np.unique(cx * 2**32 + cy),
             mean_depth=mean_depth,
             rho=float(np.sqrt(float(d2[v, u])) * (mean_depth / frame.camera.focal_length)),
             center=frame.camera.backproject(u + box[1].start, v + box[0].start, mean_depth),
@@ -211,16 +204,6 @@ def extract_regions(frame: DepthFrame, params: Params,
         ))
     regions.sort(key=lambda r: -r.area_px)
     return regions
-
-
-def _unique_cells(cells: np.ndarray) -> np.ndarray:
-    """``np.unique(cells, axis=0)`` of (N, 2) int64 cells, via one int64 key per row."""
-    lo = cells.min(axis=0)
-    rel = cells - lo
-    span = int(rel[:, 1].max()) + 1
-    keys = np.sort(rel[:, 0] * span + rel[:, 1])
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    return np.stack([keys // span, keys % span], axis=1) + lo
 
 
 def tls_plane(points: np.ndarray) -> PlaneFit | None:

@@ -44,6 +44,7 @@ from .params import ConfigError, ranged, validate
 _EXIT_HEIGHT = -1.0e30  # stands in for "ray left the world bounds"
 _MAX_RANGE = 100.0      # m, farther returns are invalid
 _MARCH_MARGIN = 1e-9    # m, height slack of the march window
+_TEX_RES = 0.02         # m per texture lattice cell
 
 
 @dataclass(frozen=True)
@@ -165,24 +166,18 @@ class World:
     heights: np.ndarray     # (Ny, Nx) node heights, m; node (i, j) sits at (j*res, i*res)
     texture: np.ndarray     # ground albedo grid in [0, 1], on its own finer lattice
     resolution: float       # m per heightmap lattice cell
-    texture_resolution: float = 0.02  # m per texture lattice cell
     obstacles: tuple[Box, ...] = ()
     texture_mips: tuple[np.ndarray, ...] = field(init=False)  # derived; box-filtered pyramid
 
     def __post_init__(self) -> None:
-        if self.resolution <= 0.0 or self.texture_resolution <= 0.0:
-            raise ValueError("lattice resolutions must be positive")
+        if self.resolution <= 0.0:
+            raise ValueError("lattice resolution must be positive")
         if not np.all(np.isfinite(self.heights)):
             raise ValueError("heightmap must be finite everywhere")
         mips = [self.texture]
         while min(mips[-1].shape) > 4:
             mips.append(_downsample2(mips[-1]))
         object.__setattr__(self, "texture_mips", tuple(mips))
-
-    @property
-    def extent(self) -> tuple[float, float]:
-        ny, nx = self.heights.shape
-        return ((nx - 1) * self.resolution, (ny - 1) * self.resolution)
 
     def height_at(self, x, y):
         """Terrain height (m); out-of-bounds points report a deep sentinel."""
@@ -207,8 +202,8 @@ class World:
         xb, yb, fp = np.broadcast_arrays(np.asarray(x, dtype=float),
                                          np.asarray(y, dtype=float),
                                          np.asarray(footprint, dtype=float))
-        fp = np.maximum(fp, self.texture_resolution)
-        level = np.clip(np.log2(fp / self.texture_resolution), 0.0,
+        fp = np.maximum(fp, _TEX_RES)
+        level = np.clip(np.log2(fp / _TEX_RES), 0.0,
                         len(self.texture_mips) - 1.0)
         lo = np.floor(level).astype(np.int64)
         frac = level - lo
@@ -217,7 +212,7 @@ class World:
             selm = lo == lev
             if not selm.any():
                 continue
-            res_lo = self.texture_resolution * (2.0 ** lev)
+            res_lo = _TEX_RES * (2.0 ** lev)
             v_lo = _bilinear_grid(self.texture_mips[lev], res_lo,
                                   xb[selm], yb[selm], 0.0)
             hi = min(lev + 1, len(self.texture_mips) - 1)
@@ -348,23 +343,22 @@ def build_world(scenario: Scenario) -> World:
 
     # texture lives on a finer lattice with content at several scales so the
     # point tracker keeps salient structure all the way through the descent
-    tex_res = 0.02
-    tnx = int(round(scenario.extent[0] / tex_res)) + 1
-    tny = int(round(scenario.extent[1] / tex_res)) + 1
+    tnx = int(round(scenario.extent[0] / _TEX_RES)) + 1
+    tny = int(round(scenario.extent[1] / _TEX_RES)) + 1
     rng_tex = np.random.default_rng(scenario.texture_seed)
     octaves = [
-        (0.45, _value_noise(rng_tex, (tny, tnx), int(round(0.40 / tex_res)))),
-        (0.30, _value_noise(rng_tex, (tny, tnx), int(round(0.12 / tex_res)))),
-        (0.25, _value_noise(rng_tex, (tny, tnx), int(round(0.04 / tex_res)))),
+        (0.45, _value_noise(rng_tex, (tny, tnx), int(round(0.40 / _TEX_RES)))),
+        (0.30, _value_noise(rng_tex, (tny, tnx), int(round(0.12 / _TEX_RES)))),
+        (0.25, _value_noise(rng_tex, (tny, tnx), int(round(0.04 / _TEX_RES)))),
     ]
     mix = sum(amp * grid for amp, grid in octaves)
-    xs = (np.arange(tnx) * tex_res)[None, :]
-    ys = (np.arange(tny) * tex_res)[:, None]
+    xs = (np.arange(tnx) * _TEX_RES)[None, :]
+    ys = (np.arange(tny) * _TEX_RES)[:, None]
     checker = ((np.floor(xs / 0.5) + np.floor(ys / 0.5)) % 2.0)
     texture = np.clip(0.10 + 0.55 * mix + 0.25 * checker, 0.0, 1.0)
 
     return World(heights=heights, texture=texture, resolution=res,
-                 texture_resolution=tex_res, obstacles=scenario.obstacles)
+                 obstacles=scenario.obstacles)
 
 
 # --------------------------------------------------------------------------

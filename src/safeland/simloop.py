@@ -351,8 +351,9 @@ def _init_features(frame: DepthFrame, c_px: np.ndarray, commit_mask: per.RegionM
         allowed = disk & frame.valid & commit_mask.pixels
         if not allowed.any():
             allowed = disk & frame.valid
-        z0 = float(frame.depth[allowed].mean()) if allowed.any() \
-            else commit_mask.mean_depth
+        if not allowed.any():
+            continue
+        z0 = float(frame.depth[allowed].mean())
         fs = srv.detect_and_track(frame.intensity, allowed, None, params, z_now=z0)
         if fs.n_t > 0:
             return fs, z0

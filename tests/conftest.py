@@ -75,7 +75,7 @@ def frame_region(frame: DepthFrame, pixels: np.ndarray) -> RegionMask:
     vs, us = np.nonzero(pixels)
     return RegionMask(**region_box(pixels), area_px=int(vs.size),
                       centroid_px=(float(us.mean()), float(vs.mean())),
-                      ground_footprint=np.zeros((0, 2), dtype=np.int64),
+                      ground_footprint=np.zeros(0, dtype=np.int64),
                       mean_depth=float(frame.depth[pixels].mean()), camera=frame.camera)
 
 

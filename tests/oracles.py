@@ -43,14 +43,71 @@ def brute_force_distance_sq(targets: np.ndarray, pad_with_targets: bool = False)
     return out
 
 
-def footprint_iou(cells_a: np.ndarray, cells_b: np.ndarray) -> float:
-    """IoU of two ground footprints given as (K, 2) integer cell arrays."""
-    if len(cells_a) == 0 or len(cells_b) == 0:
+def screen_pass_mask(depth: np.ndarray, valid: np.ndarray, cam_z: float, k: int,
+                     v_max: float, g_max: float, tie: float = 1e-9):
+    """Screening's pass mask by a scalar loop per pixel, and the pixels
+    whose height std or gradient magnitude lies within ``tie`` of its
+    threshold, where rounding may decide either way.
+
+    A pixel passes when it is valid, when at least max(3, k²/3) pixels of
+    its k×k window (rows and columns i - k//2 .. i + (k-1)//2, cut at the
+    image border) are valid, when the population std of those pixels'
+    heights ``cam_z - depth`` is at most ``v_max``, and when its depth
+    gradient is defined with magnitude at most ``g_max``. Along each axis
+    the gradient is the central difference when both neighbours are
+    valid, the difference to the one valid neighbour otherwise, and
+    undefined with no valid neighbour.
+    """
+    h, w = depth.shape
+    ok = np.zeros((h, w), dtype=bool)
+    near = np.zeros((h, w), dtype=bool)
+
+    def is_valid(y: int, x: int) -> bool:
+        return 0 <= y < h and 0 <= x < w and bool(valid[y, x])
+
+    def diff(y: int, x: int, dy: int, dx: int) -> float | None:
+        prev_ok, next_ok = is_valid(y - dy, x - dx), is_valid(y + dy, x + dx)
+        if prev_ok and next_ok:
+            return (depth[y + dy, x + dx] - depth[y - dy, x - dx]) * 0.5
+        if next_ok:
+            return depth[y + dy, x + dx] - depth[y, x]
+        if prev_ok:
+            return depth[y, x] - depth[y - dy, x - dx]
+        return None
+
+    for y in range(h):
+        for x in range(w):
+            if not valid[y, x]:
+                continue
+            heights = [cam_z - depth[yy, xx]
+                       for yy in range(y - k // 2, y + (k - 1) // 2 + 1)
+                       for xx in range(x - k // 2, x + (k - 1) // 2 + 1)
+                       if is_valid(yy, xx)]
+            if len(heights) < max(3.0, k * k / 3.0):
+                continue
+            mean = sum(heights) / len(heights)
+            std = math.sqrt(sum((z - mean) ** 2 for z in heights) / len(heights))
+            gx, gy = diff(y, x, 0, 1), diff(y, x, 1, 0)
+            if gx is None or gy is None:
+                continue
+            mag = math.sqrt(gx * gx + gy * gy)
+            ok[y, x] = std <= v_max and mag <= g_max
+            near[y, x] = abs(std - v_max) <= tie or abs(mag - g_max) <= tie
+    return ok, near
+
+
+def footprint_keys(cells) -> np.ndarray:
+    """Sorted unique footprint keys cx·2³² + cy of (cx, cy) integer cells."""
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+    return np.unique(cells[:, 0] * 2**32 + cells[:, 1])
+
+
+def footprint_iou(keys_a: np.ndarray, keys_b: np.ndarray) -> float:
+    """IoU of two ground footprints given as unique cell-key arrays."""
+    if len(keys_a) == 0 or len(keys_b) == 0:
         return 0.0
-    enc_a = cells_a[:, 0].astype(np.int64) * (2**32) + cells_a[:, 1].astype(np.int64)
-    enc_b = cells_b[:, 0].astype(np.int64) * (2**32) + cells_b[:, 1].astype(np.int64)
-    inter = np.intersect1d(enc_a, enc_b, assume_unique=True).size
-    union = enc_a.size + enc_b.size - inter
+    inter = np.intersect1d(keys_a, keys_b, assume_unique=True).size
+    union = keys_a.size + keys_b.size - inter
     return inter / union if union else 0.0
 
 

@@ -166,7 +166,7 @@ def square_cells(x0: float, y0: float, side: float, res: float = 0.1) -> np.ndar
     i0, j0 = int(round(x0 / res)), int(round(y0 / res))
     ii, jj = np.meshgrid(np.arange(i0, i0 + n), np.arange(j0, j0 + n),
                          indexing="ij")
-    return np.stack([ii.ravel(), jj.ravel()], axis=1).astype(np.int64)
+    return oracles.footprint_keys(np.stack([ii.ravel(), jj.ravel()], axis=1))
 
 
 ASSOC = Params(b0=0.5, iou_min=0.3, track_grace=5)
@@ -206,7 +206,7 @@ class TestAssociation:
     def test_iou_join_equals_the_pairwise_loop(self, footprints):
         # overlapping, disjoint, empty and negative-coordinate footprints,
         # split into two lists that share some of them
-        cells = [np.array(sorted(f), dtype=np.int64).reshape(-1, 2) for f in footprints]
+        cells = [oracles.footprint_keys(sorted(f)) for f in footprints]
         a, b = cells[: len(cells) // 2 + 1], cells[len(cells) // 3:]
         loop = np.array([[oracles.footprint_iou(x, y) for y in b]
                          for x in a]).reshape(len(a), len(b))

@@ -201,6 +201,15 @@ class TestMain:
                      "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_fewer_than_one_worker_exits_with_config_error(self, tmp_path, capsys, workers):
+        code = main([str(SCENARIO_DIR / "flat.yaml"), "--workers", workers,
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "--workers" in err
+        assert not (tmp_path / "out").exists()
+
     def test_batch_timeout_writes_one_summary_row_per_seed(self, tmp_path):
         code = main([str(SCENARIO_DIR / "undersized.yaml"),
                      "--set", "f_max=12", "--seeds", "0..2",

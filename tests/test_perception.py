@@ -8,14 +8,34 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from safeland.perception import (CueVector, PlaneFit, RegionMask, _screen_result,
-                                 _unique_cells, compute_cues, extract_regions,
-                                 fit_plane, screen_frame, tls_plane)
+                                 compute_cues, extract_regions, fit_plane,
+                                 screen_frame, tls_plane)
 from safeland.scene import (Box, CameraModel, Scenario, build_world,
                             render_true_depth)
 from safeland.selector import inscribed_distance_sq
 
 import oracles
 from conftest import frame_region, make_flat_scenario, region_box, synthetic_frame
+
+
+@st.composite
+def depth_frames(draw):
+    """Depth up to 16×16 on a 1/32 m lattice, with dropout holes, and a window size."""
+    h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    depth = draw(arrays(float, (h, w), elements=st.sampled_from(
+        [2.0] * 6 + [2.03125, 2.0625, 2.25]), fill=st.nothing()))
+    valid = draw(arrays(bool, (h, w), elements=st.sampled_from([True, True, True, False]),
+                        fill=st.nothing()))
+    return depth, valid, draw(st.integers(3, 6))
+
+
+def lattice_frame(h: int, w: int, holes: list[tuple[int, int]], k: int = 3):
+    """A fixed h×w depth frame on a 1/32 m lattice with the given (v, u) holes."""
+    depth = 2.0 + np.random.default_rng(h * w).integers(0, 3, (h, w)) / 32.0
+    valid = np.ones((h, w), dtype=bool)
+    for v, u in holes:
+        valid[v, u] = False
+    return depth, valid, k
 
 
 class TestScreenFrame:
@@ -34,6 +54,26 @@ class TestScreenFrame:
         screen = screen_frame(flat_frame, params)
         assert not screen.obstacle_mask.any()
         assert np.all(np.isposinf(screen.obstacle_dist_px))
+
+    # the examples, in order: a hole in the middle of each border; an invalid
+    # first column; one-pixel-wide rows and columns; a pixel, (1, 4), whose
+    # window holds exactly max(3, k²/3) valid pixels
+    @settings(max_examples=300, deadline=None)
+    @given(case=depth_frames())
+    @example(case=lattice_frame(6, 7, holes=[(0, 3), (5, 3), (2, 0), (3, 6)]))
+    @example(case=lattice_frame(5, 6, holes=[(v, 0) for v in range(5)]))
+    @example(case=lattice_frame(1, 9, holes=[(0, 4)]))
+    @example(case=lattice_frame(9, 1, holes=[(4, 0)], k=4))
+    @example(case=lattice_frame(1, 1, holes=[]))
+    @example(case=(np.full((4, 5), 2.0), ~np.isin(np.arange(20).reshape(4, 5), [3, 4, 13]), 3))
+    def test_pass_mask_equals_the_per_pixel_rules(self, params, case):
+        depth, valid, k = case
+        frame = synthetic_frame(depth, valid=valid)
+        p = dataclasses.replace(params, screen_k=k)
+        got = screen_frame(frame, p).pass_mask
+        want, near = oracles.screen_pass_mask(depth, valid, frame.camera.position[2],
+                                              k, p.v_max, p.g_max)
+        assert np.array_equal(got[~near], want[~near])
 
 
 class TestExtractRegions:
@@ -56,6 +96,17 @@ class TestExtractRegions:
         for region in regions:
             labels = oracles.flood_fill_labels(region.pixels)
             assert labels.max() == 1
+
+    @pytest.mark.parametrize("name", ["flat", "cluttered", "undersized"])
+    def test_footprint_is_the_cells_of_its_ground_points(self, params, episode_frames, name):
+        for frame in episode_frames[name][1]:
+            for region in extract_regions(frame, params):
+                sel = region.pixels & frame.valid
+                vs, us = np.nonzero(sel)
+                ground = oracles.backproject(frame.camera, us, vs, frame.depth[sel])[:, :2]
+                want = oracles.footprint_keys(np.floor(ground / params.assoc_res))
+                assert region.ground_footprint.dtype == want.dtype
+                assert np.array_equal(region.ground_footprint, want)
 
     def test_all_invalid_frame_yields_empty_list(self, params):
         depth = np.full((72, 96), 5.0)
@@ -132,7 +183,8 @@ def screened(*rows: str) -> np.ndarray:
 @st.composite
 def screened_frames(draw):
     h, w = draw(st.integers(1, 14)), draw(st.integers(1, 14))
-    classes = draw(arrays(np.int8, (h, w), elements=st.sampled_from([0, 0, 0, 1, 2])))
+    classes = draw(arrays(np.int8, (h, w), elements=st.sampled_from([0, 0, 0, 1, 2]),
+                          fill=st.nothing()))
     return classes, draw(st.integers(1, 6)), draw(st.sampled_from([0.0, 0.3, 0.9]))
 
 
@@ -169,18 +221,6 @@ class TestClearance:
             assert region.rho == float(np.sqrt(float(brute[v, u]))) * gsd
             center = frame.camera.backproject(u, v, region.mean_depth)
             assert region.center.tobytes() == center.tobytes()
-
-
-class TestUniqueCells:
-    @settings(max_examples=100, deadline=None)
-    @given(rows=st.lists(st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
-                         min_size=1, max_size=300))
-    def test_equals_unique_rows(self, rows):
-        cells = np.array(rows, dtype=np.int64)
-        got = _unique_cells(cells)
-        want = np.unique(cells, axis=0)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got, want)
 
 
 class TestFitPlane:
@@ -307,7 +347,7 @@ class TestComputeCues:
         pixels = np.zeros((h, w), dtype=bool)
         pixels[19:22, 19:22] = True
         region = RegionMask(**region_box(pixels), area_px=9, centroid_px=(20.0, 20.0),
-                            ground_footprint=np.zeros((1, 2), dtype=np.int64),
+                            ground_footprint=np.zeros(1, dtype=np.int64),
                             mean_depth=5.0, camera=frame.camera)
         fit = PlaneFit(normal=np.array([0.0, 0.0, -1.0]), offset=5.0,
                        rms_residual=0.0)
@@ -320,7 +360,7 @@ class TestComputeCues:
         frame = synthetic_frame(depth)
         pixels = np.ones((20, 20), dtype=bool)
         region = RegionMask(**region_box(pixels), area_px=400, centroid_px=(9.5, 9.5),
-                            ground_footprint=np.zeros((1, 2), dtype=np.int64),
+                            ground_footprint=np.zeros(1, dtype=np.int64),
                             mean_depth=5.0, camera=frame.camera)
         fit = PlaneFit(normal=np.array([0.0, 0.0, -1.0]), offset=5.0,
                        rms_residual=0.0)
@@ -335,7 +375,7 @@ class TestComputeCues:
         pixels = np.zeros((h, w), dtype=bool)
         pixels[19:22, 29:32] = True
         region = RegionMask(**region_box(pixels), area_px=9, centroid_px=(30.0, 20.0),
-                            ground_footprint=np.zeros((1, 2), dtype=np.int64),
+                            ground_footprint=np.zeros(1, dtype=np.int64),
                             mean_depth=5.0, camera=frame.camera)
         fit = PlaneFit(normal=np.array([0.0, 0.0, -1.0]), offset=5.0,
                        rms_residual=0.0)
@@ -353,7 +393,7 @@ class TestComputeCues:
         frame = synthetic_frame(depth)
         pixels = np.ones((20, 20), dtype=bool)
         region = RegionMask(**region_box(pixels), area_px=400, centroid_px=(9.5, 9.5),
-                            ground_footprint=np.zeros((1, 2), dtype=np.int64),
+                            ground_footprint=np.zeros(1, dtype=np.int64),
                             mean_depth=5.0, camera=frame.camera)
         n = np.array([0.1, 0.0, -1.0])
         n /= np.linalg.norm(n)
