@@ -25,10 +25,10 @@ the lattice meets once, and copies whole rows per image row. Only the
 window of the lattice that can hold a ray's first sample under the
 terrain is evaluated, bounded by the highest and lowest terrain under
 the view's ground footprint; a footprint that leaves the heightfield
-marches the whole lattice. Boxes that no ray of the view can reach are
-not slab-tested. None of this changes a result bit from the full
-per-pixel march. Rendering and corruption are pure functions; the RNG
-for corruption is passed explicitly.
+marches the whole lattice. A box's slab test forms the image only when
+some column and some row of the view meet the box. None of this changes
+a result bit from the full per-pixel march. Rendering and corruption are
+pure functions; the RNG for corruption is passed explicitly.
 """
 from __future__ import annotations
 
@@ -111,6 +111,16 @@ class CameraModel:
         dirs[..., 1] = yd[:, None]
         dirs[..., 2] = -1.0
         return dirs
+
+    def project(self, point) -> np.ndarray:
+        """World point -> pixel (u, v); the image centre for a point not below the camera."""
+        dx, dy, dz = np.asarray(point, dtype=float) - self.position
+        depth = -dz   # z-depth along the downward optical axis
+        cx, cy = self.principal_point
+        if depth <= 0.0:
+            return np.array([cx, cy])
+        return np.array([self.focal_length * dx / depth + cx,
+                         self.focal_length * -dy / depth + cy])
 
     def backproject(self, u, v, depth):
         """Pixel + z-depth -> world point(s)."""
@@ -366,10 +376,13 @@ def build_world(scenario: Scenario) -> World:
 # --------------------------------------------------------------------------
 
 def _box_intersect(origin: np.ndarray, xd: np.ndarray, yd: np.ndarray,
-                   lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(H, W) first-hit parameter of the rays (xd[u], yd[v], -1) on one box (inf = miss)."""
-    t_enter, t_exit = -np.inf, np.inf
-    for axis, d in ((0, xd[None, :]), (1, yd[:, None]), (2, -1.0)):
+                   lo: np.ndarray, hi: np.ndarray) -> np.ndarray | None:
+    """(H, W) first-hit parameter of the rays (xd[u], yd[v], -1) on one box
+    (inf = miss), or None when no ray meets it: a hit needs a column (x
+    slab) and a row (y slab) that each overlap the z slab with a positive exit.
+    """
+    slabs = []
+    for axis, d in ((0, xd), (1, yd), (2, -1.0)):
         with np.errstate(divide="ignore", invalid="ignore"):
             inv = 1.0 / d
             t0 = (lo[axis] - origin[axis]) * inv
@@ -377,31 +390,18 @@ def _box_intersect(origin: np.ndarray, xd: np.ndarray, yd: np.ndarray,
         # axis-parallel rays: inside the slab throughout if the origin is
         par = np.abs(d) < 1e-12
         inside = lo[axis] <= origin[axis] <= hi[axis]
-        t_enter = np.maximum(t_enter, np.where(par, -np.inf if inside else np.inf,
-                                               np.minimum(t0, t1)))
-        t_exit = np.minimum(t_exit, np.where(par, np.inf if inside else -np.inf,
-                                             np.maximum(t0, t1)))
+        slabs.append((np.where(par, -np.inf if inside else np.inf, np.minimum(t0, t1)),
+                      np.where(par, np.inf if inside else -np.inf, np.maximum(t0, t1))))
+    (x_in, x_out), (y_in, y_out), (z_in, z_out) = slabs
+    for t_in, t_out in ((x_in, x_out), (y_in, y_out)):
+        t_exit = np.minimum(t_out, z_out)
+        if not ((np.maximum(t_in, z_in) <= t_exit) & (t_exit > 0.0)).any():
+            return None
+    t_enter = np.maximum(np.maximum(x_in[None, :], y_in[:, None]), z_in)
+    t_exit = np.minimum(np.minimum(x_out[None, :], y_out[:, None]), z_out)
     hit = (t_enter <= t_exit) & (t_exit > 0.0)
     t_hit = np.where(t_enter > 0.0, t_enter, t_exit)  # origin inside: exit face
     return np.where(hit, t_hit, np.inf)
-
-
-def _box_in_view(origin: np.ndarray, xd: np.ndarray, yd: np.ndarray,
-                 lo: np.ndarray, hi: np.ndarray, margin: float) -> bool:
-    """Whether a nadir view can reach the box at all.
-
-    A ray meets the box no farther than where it crosses the plane of
-    the box's base, so its ground position there lies between the
-    camera's and that crossing. A box whose footprint, grown by
-    ``margin``, misses the bounds of those positions is out of view.
-    """
-    t_base = max(float(origin[2] - lo[2]), 0.0)
-    for axis, d in ((0, xd), (1, yd)):
-        reach = origin[axis] + t_base * d
-        if (min(float(reach.min()), origin[axis]) > hi[axis] + margin
-                or max(float(reach.max()), origin[axis]) < lo[axis] - margin):
-            return False
-    return True
 
 
 def _march_window(world: World, origin: np.ndarray, xd: np.ndarray, yd: np.ndarray,
@@ -502,9 +502,9 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
                        box.center[1] - box.extents[1] / 2.0, base])
         hi = np.array([box.center[0] + box.extents[0] / 2.0,
                        box.center[1] + box.extents[1] / 2.0, base + box.height])
-        if not _box_in_view(origin, xd, yd, lo, hi, world.resolution):
-            continue
-        t_box = np.minimum(t_box, _box_intersect(origin, xd, yd, lo, hi))
+        t_hit = _box_intersect(origin, xd, yd, lo, hi)
+        if t_hit is not None:
+            t_box = np.minimum(t_box, t_hit)
 
     # one lattice for every ray, set by the global height range; only the
     # part of it that can hold a ray's first hit is evaluated

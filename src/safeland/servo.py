@@ -5,8 +5,8 @@ of windowed intensity variance, matched by minimum patch SSD inside a
 bounded search window (the template is pre-warped by the known relative
 depth change, and a gradient-based sub-pixel refinement follows when the
 best match is not exact). Templates refresh only after a meaningful
-depth change, so a static camera over a static scene tracks with exactly
-zero drift.
+depth change or a re-detection, so a static camera over a static scene
+tracks with exactly zero drift.
 
 Matching is batched over the whole feature set: one SSD over every
 point's full search window, gathered in blocks of a few points to bound
@@ -17,11 +17,10 @@ positions score inf, ``np.vecdot`` for the dot products, ``math.hypot``
 for step lengths).
 
 The feature set also carries an anchor: the image position of a chosen
-scene point (the detection centroid by default; the landing loop re-seats
-it on the committed center), propagated by the common scale-and-shift
-motion of the surviving points. Servoing on the anchor keeps the error
-signal continuous when individual points drop out or new ones are
-detected.
+scene point (the committed center for ``acquire``; the detection
+centroid by default), propagated by the common scale-and-shift motion
+of the surviving points. Servoing on the anchor keeps the error signal
+continuous when individual points drop out or new ones are detected.
 
 The control law maps the normalized image error of the anchor through the
 pseudoinverse of the point interaction matrix; its gain, speed limits
@@ -39,7 +38,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .params import Params
-from .scene import CameraModel, _bilinear_grid
+from .scene import DepthFrame, _bilinear_grid
 
 _MIN_CORNER_SCORE = 1e-5  # variance threshold; constant patches score zero
 _SCORE_WIN = 5            # px, window of the corner variance score
@@ -243,20 +242,6 @@ def _similarity_step(prev_pts: np.ndarray, new_pts: np.ndarray,
     return k * (anchor - p_bar) + q_bar
 
 
-def _resample(intensity: np.ndarray, points: np.ndarray,
-              patch_radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Snap points to whole pixels and sample fresh templates there.
-
-    Points whose template would leave the image are dropped.
-    """
-    h, w = intensity.shape
-    pr = patch_radius
-    inb = ((points[:, 0] >= pr) & (points[:, 0] <= w - 1 - pr)
-           & (points[:, 1] >= pr) & (points[:, 1] <= h - 1 - pr))
-    points = np.round(points[inb])
-    return points, _sample_patches(intensity, points, pr)
-
-
 def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
                      previous: FeatureSet | None, params: Params, *,
                      z_now: float) -> FeatureSet:
@@ -293,43 +278,69 @@ def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
     patches = previous.patches[keep]
     ref_z = previous.ref_z
 
-    # refresh templates after a meaningful depth (scale) change; stored
-    # positions snap to the new patch centers so no false motion enters
-    # the anchor on the next frame
-    if new_pts.shape[0] and abs(z_now / ref_z - 1.0) > params.retemplate_ratio:
-        new_pts, patches = _resample(intensity, new_pts, pr)
-        ref_z = z_now
+    # refresh templates after a meaningful depth (scale) change or a
+    # re-detection; stored positions snap to the new patch centers so no
+    # false motion enters the anchor on the next frame
+    refresh = bool(new_pts.shape[0]) and abs(z_now / ref_z - 1.0) > params.retemplate_ratio
+    if refresh:
+        new_pts = np.round(new_pts)
 
     if new_pts.shape[0] < params.n_min:
-        vs = np.arange(h_img)[:, None]
-        us = np.arange(w_img)[None, :]
         radius = max(2 * params.commit_window_px, 2 * params.search_radius)
-        disk = (us - anchor[0]) ** 2 + (vs - anchor[1]) ** 2 <= radius ** 2
-        allowed = disk & region_mask
+        allowed = _disk(intensity.shape, anchor, radius) & region_mask
         fresh = detect_features(intensity, allowed, n_max=params.n_max,
                                 margin=margin).astype(float)
+        if new_pts.shape[0]:
+            d2 = ((fresh[:, None, :] - new_pts[None, :, :]) ** 2).sum(axis=2)
+            fresh = fresh[d2.min(axis=1) > (2.0 * pr) ** 2]
         if fresh.shape[0]:
-            if new_pts.shape[0]:
-                d2 = ((fresh[:, None, :] - new_pts[None, :, :]) ** 2).sum(axis=2)
-                fresh = fresh[d2.min(axis=1) > (2.0 * pr) ** 2]
-            if fresh.shape[0]:
-                fresh = fresh[: params.n_max - new_pts.shape[0]]
-                # the whole set must share one template capture depth:
-                # survivors are snapped and resampled alongside the new points
-                new_pts, patches = _resample(intensity, np.vstack([new_pts, fresh]), pr)
-                ref_z = z_now
+            # the whole set must share one template capture depth: the
+            # survivors are refreshed alongside the new points
+            new_pts = np.vstack([new_pts, fresh[: params.n_max - new_pts.shape[0]]])
+            refresh = True
 
+    # the border cull and detection both keep every point ``margin`` px inside
+    if refresh:
+        new_pts = np.round(new_pts)
+        patches = _sample_patches(intensity, new_pts, pr)
+        ref_z = z_now
     return FeatureSet(points=new_pts, patches=patches, anchor_px=anchor, ref_z=ref_z)
+
+
+def _disk(shape: tuple[int, int], center, radius: float) -> np.ndarray:
+    """(H, W) mask of the pixels within ``radius`` px of ``center`` (u, v)."""
+    vs, us = np.ogrid[:shape[0], :shape[1]]
+    return (us - center[0]) ** 2 + (vs - center[1]) ** 2 <= radius ** 2
+
+
+def acquire(frame: DepthFrame, center_px: np.ndarray, region_pixels: np.ndarray,
+            params: Params) -> tuple[FeatureSet, float] | tuple[None, None]:
+    """Detect the feature set that locks onto a committed center at ``center_px``.
+
+    Searches the ``commit_window_px`` disk, then the 3x disk; in each the
+    valid pixels of ``region_pixels`` ((H, W) bool), or every valid pixel
+    of the disk when the region has none there. Returns the set anchored
+    on ``center_px`` and the mean depth of the pixels searched, or
+    (None, None) when neither disk holds a salient point.
+    """
+    for radius in (params.commit_window_px, 3 * params.commit_window_px):
+        disk = _disk(frame.valid.shape, center_px, radius) & frame.valid
+        allowed = disk & region_pixels
+        if not allowed.any():
+            allowed = disk
+        if not allowed.any():
+            continue
+        z0 = float(frame.depth[allowed].mean())
+        fs = detect_and_track(frame.intensity, allowed, None, params, z_now=z0)
+        if fs.n_t > 0:
+            fs.anchor_px = np.asarray(center_px, dtype=float)
+            return fs, z0
+    return None, None
 
 
 # --------------------------------------------------------------------------
 # control law
 # --------------------------------------------------------------------------
-
-def anchor_normalized(features: FeatureSet, camera: CameraModel) -> np.ndarray:
-    xn, yn = camera.normalized(features.anchor_px[0], features.anchor_px[1])
-    return np.array([float(xn), float(yn)])
-
 
 def interaction_matrix(s, z: float) -> np.ndarray:
     """Point interaction matrix for normalized coordinates at depth z."""

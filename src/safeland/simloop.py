@@ -11,8 +11,10 @@ frame from one sense step (render, then corrupt) and read every setting
 from ``Params``. A track's feasibility and centre are those of the
 region it holds, measured once when the region was extracted; the
 selector returns the winning track itself, and the commit and the
-terminal phase read its centre and radius from that region. Touchdown
-is tested against the surface under the vehicle, box tops included.
+terminal phase read its centre and radius from that region; the
+tracker (``servo.acquire``, then ``servo.detect_and_track``) locks onto
+the centre's projection. Touchdown is tested against the surface under
+the vehicle, box tops included.
 
 Vehicle motion is kinematic: a first-order velocity response with time
 constant ``t_v`` followed by Euler position integration. Commands from
@@ -267,15 +269,13 @@ def _execute(scenario: Scenario, params: Params, world: World,
     # detect the feature cloud around the committed center; the anchor point
     # tracks the center's image position through the cloud's common motion
     frame = _sense(scenario, world, state, rng)
-    c_px = _project_px(frame.camera, c_world)
-    fs, z_t = _init_features(frame, c_px, commit_mask, params)
+    fs, z_t = srv.acquire(frame, frame.camera.project(c_world), commit_mask.pixels, params)
     if fs is None:
         result.outcome = "aborted"
         result.frames_total += 1
         _record_frame(result, start_t, "exec", state, (0.0, 0.0, 0.0),
                       n_regions=0, n_tracks=0, n_features=0)
         return
-    fs.anchor_px = np.asarray(c_px, dtype=float)
 
     lost = 0
     for k in range(params.f_max_exec):
@@ -283,7 +283,6 @@ def _execute(scenario: Scenario, params: Params, world: World,
         result.frames_total = t + 1
         if k > 0:  # frame 0 is the one the features were detected on
             frame = _sense(scenario, world, state, rng)
-        camera = frame.camera
 
         box = commit_mask.box
         sel_pixels = commit_mask.box_pixels & frame.valid[box]
@@ -301,7 +300,7 @@ def _execute(scenario: Scenario, params: Params, world: World,
             error = {}
         else:
             lost = 0
-            s_virtual = srv.anchor_normalized(fs, camera)
+            s_virtual = np.array(frame.camera.normalized(*fs.anchor_px))
             cmd = srv.control(s_virtual, z_t, params)
             error = {"s_u": float(s_virtual[0]), "s_v": float(s_virtual[1]),
                      "e_norm": float(np.hypot(s_virtual[0], s_virtual[1]))}
@@ -324,40 +323,6 @@ def _execute(scenario: Scenario, params: Params, world: World,
                                                     state.position[1] - c_world[1]))
             return
     result.outcome = "timeout"
-
-
-def _project_px(camera: CameraModel, point_world: np.ndarray) -> np.ndarray:
-    dx, dy, dz = np.asarray(point_world, dtype=float) - camera.position
-    depth = -dz   # z-depth along the downward optical axis
-    cx, cy = camera.principal_point
-    if depth <= 0.0:
-        return np.array([cx, cy])
-    return np.array([camera.focal_length * dx / depth + cx,
-                     camera.focal_length * -dy / depth + cy])
-
-
-def _init_features(frame: DepthFrame, c_px: np.ndarray, commit_mask: per.RegionMask,
-                   params: Params):
-    """Detect the initial feature cloud near the committed center.
-
-    Returns (FeatureSet, initial depth), or (None, None) when no salient
-    points exist even in a widened window.
-    """
-    h, w = frame.intensity.shape
-    vs = np.arange(h)[:, None]
-    us = np.arange(w)[None, :]
-    for radius in (params.commit_window_px, 3 * params.commit_window_px):
-        disk = (us - c_px[0]) ** 2 + (vs - c_px[1]) ** 2 <= radius ** 2
-        allowed = disk & frame.valid & commit_mask.pixels
-        if not allowed.any():
-            allowed = disk & frame.valid
-        if not allowed.any():
-            continue
-        z0 = float(frame.depth[allowed].mean())
-        fs = srv.detect_and_track(frame.intensity, allowed, None, params, z_now=z0)
-        if fs.n_t > 0:
-            return fs, z0
-    return None, None
 
 
 def _record_tracks(result: EpisodeResult, t: int, tracks: list[bel.RegionTrack],

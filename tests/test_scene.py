@@ -131,6 +131,15 @@ def cluttered_world():
     return build_world(load_scenario(SCENARIO_DIR / "cluttered.yaml"))
 
 
+def spy_box_hits(monkeypatch) -> list:
+    """The list that collects each answer of ``scene._box_intersect`` while the patch holds."""
+    hits = []
+    real = scene._box_intersect
+    monkeypatch.setattr(scene, "_box_intersect",
+                        lambda *args: hits.append(real(*args)) or hits[-1])
+    return hits
+
+
 class TestBoundedMarch:
     """The windowed march and the box cull against the full-lattice renderer."""
 
@@ -184,12 +193,10 @@ class TestBoundedMarch:
     def test_boxes_out_of_view_are_culled(self, cluttered_world, monkeypatch):
         camera = CameraModel(96, 72, 72.0, [2.0, 3.5, 1.0])   # every box lies beyond this view
         depth, valid, intensity = oracles.render_full_march(cluttered_world, camera)
-        calls = []
-        real = scene._box_intersect
-        monkeypatch.setattr(scene, "_box_intersect",
-                            lambda *args: calls.append(1) or real(*args))
+        hits = spy_box_hits(monkeypatch)
         frame = render_true_depth(cluttered_world, camera)
-        assert calls == []
+        assert len(hits) == len(cluttered_world.obstacles)
+        assert all(hit is None for hit in hits)
         assert np.array_equal(frame.depth, depth)
         assert np.array_equal(frame.valid, valid)
         assert np.array_equal(frame.intensity, intensity)
@@ -200,12 +207,9 @@ class TestBoundedMarch:
         # one of its faces, the view sees that face, nearer than the ground
         # 1.35 m or more below the camera
         camera = CameraModel(96, 72, 72.0, [x, y, 1.5])
-        calls = []
-        real = scene._box_intersect
-        monkeypatch.setattr(scene, "_box_intersect",
-                            lambda *args: calls.append(1) or real(*args))
+        hits = spy_box_hits(monkeypatch)
         frame = render_true_depth(cluttered_world, camera)
-        assert len(calls) == 1
+        assert sum(hit is not None for hit in hits) == 1
         assert (frame.depth[frame.valid] < 1.3).any()
         monkeypatch.undo()
         assert_renders_like_full_march(cluttered_world, camera)

@@ -79,7 +79,7 @@ class TestDistanceTransform:
 
     @settings(max_examples=60, deadline=None)
     @given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2,
-                                             min_side=1, max_side=24)))
+                                             min_side=1, max_side=24), fill=st.nothing()))
     def test_property_equals_brute_force(self, mask):
         mine = inscribed_distance_sq(mask)
         ref = np.where(mask, oracles.brute_force_distance_sq(~mask, True), 0)
@@ -87,7 +87,8 @@ class TestDistanceTransform:
 
     @settings(max_examples=80, deadline=None)
     @given(blob=hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2,
-                                                  min_side=1, max_side=12)),
+                                                  min_side=1, max_side=12),
+                           fill=st.nothing()),
            pad=st.tuples(*[st.integers(0, 10)] * 4))
     def test_property_radius_on_bounding_box_equals_whole_frame(self, blob, pad):
         # the mask sits anywhere in a larger frame, touching its border or not

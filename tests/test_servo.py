@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from safeland.scene import CameraModel
-from safeland.servo import (HOVER, FeatureSet, _hypot, _match_points, _warp_template,
-                            anchor_normalized, control, detect_and_track,
+from safeland.servo import (HOVER, FeatureSet, _hypot, _match_points, _sample_patches,
+                            _warp_template, acquire, control, detect_and_track,
                             detect_features, ibvs_velocity, interaction_matrix)
 
 import oracles
+from conftest import synthetic_frame
 
 
 def textured_image(seed: int = 0, h: int = 72, w: int = 96) -> np.ndarray:
@@ -64,6 +64,8 @@ class TestTracking:
                              anchor_px=fs.anchor_px.copy(), ref_z=fs.ref_z)
         fs2 = detect_and_track(img, allowed, starved, params, z_now=5.0)
         assert fs2.n_t >= params.n_min
+        # re-detection alone refreshes every template
+        assert np.array_equal(fs2.patches, _sample_patches(img, fs2.points, params.patch_radius))
 
     def test_detection_respects_allowed_mask(self, params):
         img = textured_image(seed=3)
@@ -74,6 +76,91 @@ class TestTracking:
         assert len(pts) > 0
         assert np.all((pts[:, 0] >= 30) & (pts[:, 0] < 70))
         assert np.all((pts[:, 1] >= 20) & (pts[:, 1] < 50))
+
+    @pytest.mark.parametrize("name", ["flat", "cluttered", "undersized"])
+    def test_refreshed_set_is_whole_pixels_inside_the_margin(self, episode_frames,
+                                                             params, name):
+        # a starved set tracked onto the next frame at a depth change above
+        # the retemplate ratio: the survivors are retemplated and re-detection
+        # adds fresh points in the same call
+        p = dataclasses.replace(params, retemplate_ratio=0.01)
+        _, frames = episode_frames[name]
+        for a, b in zip(frames[:-1], frames[1:]):
+            fs = detect_and_track(a.intensity, a.valid, None, p, z_now=5.0)
+            starved = dataclasses.replace(fs, points=fs.points[:3], patches=fs.patches[:3])
+            survivors = detect_and_track(b.intensity, b.valid, starved,
+                                         dataclasses.replace(p, n_min=1), z_now=4.9)
+            got = detect_and_track(b.intensity, b.valid, starved, p, z_now=4.9)
+            assert 0 < survivors.n_t < got.n_t
+            # the snapped survivors lead the set, ahead of the fresh points
+            assert np.array_equal(got.points[:survivors.n_t], survivors.points)
+            pts = got.points
+            margin = p.patch_radius + 3
+            h, w = b.intensity.shape
+            assert np.array_equal(pts, np.round(pts))
+            assert np.all((pts >= margin) & (pts <= np.array([w, h]) - 1 - margin))
+            assert np.array_equal(got.patches,
+                                  _sample_patches(b.intensity, pts, p.patch_radius))
+            assert got.ref_z == 4.9
+
+
+def disk_mask(shape, center, radius):
+    """Pixels within ``radius`` of ``center`` (u, v)."""
+    vs, us = np.mgrid[:shape[0], :shape[1]]
+    return (us - center[0]) ** 2 + (vs - center[1]) ** 2 <= radius ** 2
+
+
+class TestAcquire:
+    """Detection of the initial feature set around a committed center."""
+
+    CENTER = np.array([40.0, 30.0])
+
+    @staticmethod
+    def frame(intensity=None):
+        depth = 2.0 + np.linspace(0.0, 0.5, 96)[None, :] + np.zeros((72, 1))
+        valid = np.ones(depth.shape, dtype=bool)
+        valid[:, 44:48] = False
+        return synthetic_frame(depth, valid,
+                               textured_image(seed=7) if intensity is None else intensity)
+
+    def acquire_in(self, frame, region, params, radius):
+        """The acquired set, checked against the valid disk pixels it searched."""
+        searched = disk_mask(region.shape, self.CENTER, radius) & region & frame.valid
+        fs, z0 = acquire(frame, self.CENTER, region, params)
+        assert np.array_equal(fs.anchor_px, self.CENTER)
+        us, vs = fs.points.astype(int).T
+        assert fs.n_t > 0 and searched[vs, us].all()
+        assert z0 == float(frame.depth[searched].mean()) == fs.ref_z
+        return fs
+
+    def test_anchored_on_the_center_inside_disk_and_region(self, params):
+        frame = self.frame()
+        region = np.zeros(frame.valid.shape, dtype=bool)
+        region[20:60, 30:70] = True
+        self.acquire_in(frame, region, params, params.commit_window_px)
+
+    def test_whole_disk_when_the_region_has_no_valid_pixel_there(self, params):
+        frame = self.frame()
+        region = np.zeros(frame.valid.shape, dtype=bool)
+        region[:, 44:48] = True      # inside the disk, but all invalid
+        region[:, 80:] = True        # valid, but outside the disk
+        fs, z0 = acquire(frame, self.CENTER, region, params)
+        # the same set and depth as a search of the whole disk
+        whole = self.acquire_in(frame, np.ones_like(region), params, params.commit_window_px)
+        assert np.array_equal(fs.points, whole.points) and z0 == whole.ref_z
+
+    def test_three_times_the_window_when_the_small_one_is_flat(self, params):
+        intensity = textured_image(seed=7)
+        # no variance in any 5 x 5 window centred in the small disk
+        small = disk_mask(intensity.shape, self.CENTER, params.commit_window_px)
+        intensity[disk_mask(intensity.shape, self.CENTER, params.commit_window_px + 3)] = 0.5
+        fs = self.acquire_in(self.frame(intensity), np.ones_like(small), params,
+                             3 * params.commit_window_px)
+        assert not small[fs.points[:, 1].astype(int), fs.points[:, 0].astype(int)].any()
+
+    def test_textureless_frame_finds_nothing(self, params):
+        frame = self.frame(np.full((72, 96), 0.5))
+        assert acquire(frame, self.CENTER, frame.valid, params) == (None, None)
 
 
 def match_like_reference(intensity, templates, points, params):
@@ -261,11 +348,3 @@ class TestAnchor:
                                z_now=5.0)
         assert fs2.anchor_px[0] == pytest.approx(anchor0[0] + 8.0, abs=0.2)
         assert fs2.anchor_px[1] == pytest.approx(anchor0[1], abs=0.2)
-
-    def test_anchor_normalized_uses_camera_intrinsics(self):
-        camera = CameraModel(97, 73, 50.0, [0, 0, 5.0])
-        fs = FeatureSet(points=np.zeros((1, 2)), patches=np.zeros((1, 9, 9)),
-                        anchor_px=np.array([58.0, 36.0]), ref_z=5.0)
-        s = anchor_normalized(fs, camera)
-        assert s[0] == pytest.approx((58.0 - 48.0) / 50.0, abs=1e-15)
-        assert s[1] == pytest.approx(0.0, abs=1e-15)

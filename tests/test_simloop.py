@@ -10,7 +10,7 @@ import safeland.selector as sel_mod
 from safeland.params import Params
 from safeland.scene import Box, CameraModel, NoiseModel, Scenario, load_scenario
 from safeland.servo import HOVER, VelocityCommand
-from safeland.simloop import (VehicleState, _project_px, command_to_world,
+from safeland.simloop import (VehicleState, command_to_world,
                               lawnmower_waypoints, make_camera, run_episode,
                               step_vehicle_world)
 
@@ -106,7 +106,7 @@ class TestNadirClosedForms:
            focal=st.floats(1.0, 1000.0))
     def test_project_px(self, cam, point, width, height, focal):
         camera = CameraModel(width, height, focal, list(cam))
-        got = _project_px(camera, np.array(point))
+        got = camera.project(np.array(point))
         assert got.tobytes() == oracles.project_px(camera, point).tobytes()
 
     @settings(max_examples=300, deadline=None)

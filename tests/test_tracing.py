@@ -36,3 +36,10 @@ def test_every_hooked_stage_is_called_by_an_episode():
     assert result.frames_to_commit is not None
     uncalled = {stage for stage, _, _ in _NAMES if tracer.calls[stage] == 0}
     assert uncalled == _IDLE
+
+
+def test_bench_selftest_passes(capsys):
+    """The benchmark's own checks still run against the package's surface,
+    ``selector.inscribed_radius`` included (``bench/selftest.py``)."""
+    import selftest
+    assert selftest.main() == 0, capsys.readouterr().out
