@@ -28,26 +28,18 @@ def cue_likelihood(x: float, sigma: float, eps_l: float) -> float:
     return max(math.exp(-x / sigma), eps_l)
 
 
-def _cue_likelihoods(cues: CueVector, params: Params) -> tuple[float, float, float]:
-    return (cue_likelihood(cues.flatness, params.sigma_f_cue, params.eps_l),
-            cue_likelihood(cues.slope, params.sigma_s, params.eps_l),
-            cue_likelihood(cues.obstacle, params.sigma_o, params.eps_l))
+def likelihoods(cues: CueVector, params: Params) -> tuple[float, float]:
+    """Safe and unsafe likelihoods (l1, l0), each clamped to [eps_l, 1].
 
-
-def likelihood_safe(cues: CueVector, params: Params) -> float:
-    """Weighted product of the per-cue likelihoods, clamped to [eps_l, 1]."""
-    l_f, l_s, l_o = _cue_likelihoods(cues, params)
-    value = l_f ** params.w_f * l_s ** params.w_s * l_o ** params.w_o
-    return min(max(value, params.eps_l), 1.0)
-
-
-def likelihood_unsafe(cues: CueVector, params: Params) -> float:
-    """Complement-product counterpart, same floor; increases as cues worsen."""
-    l_f, l_s, l_o = _cue_likelihoods(cues, params)
-    value = ((1.0 - l_f) ** params.w_f
-             * (1.0 - l_s) ** params.w_s
-             * (1.0 - l_o) ** params.w_o)
-    return min(max(value, params.eps_l), 1.0)
+    l1 is the weighted product of the per-cue likelihoods; l0 the same
+    product of their complements, so it increases as the cues worsen.
+    """
+    l_f = cue_likelihood(cues.flatness, params.sigma_f_cue, params.eps_l)
+    l_s = cue_likelihood(cues.slope, params.sigma_s, params.eps_l)
+    l_o = cue_likelihood(cues.obstacle, params.sigma_o, params.eps_l)
+    safe = l_f ** params.w_f * l_s ** params.w_s * l_o ** params.w_o
+    unsafe = (1.0 - l_f) ** params.w_f * (1.0 - l_s) ** params.w_s * (1.0 - l_o) ** params.w_o
+    return min(max(safe, params.eps_l), 1.0), min(max(unsafe, params.eps_l), 1.0)
 
 
 def predict(b_prev: float, alpha: float) -> float:
@@ -167,7 +159,5 @@ def step(tracks: list[RegionTrack], matched_cues: dict[int, CueVector],
             track.belief = b_bar
             track.likelihoods = None
             continue
-        l1 = likelihood_safe(cues, params)
-        l0 = likelihood_unsafe(cues, params)
-        track.belief = update(b_bar, l1, l0)
-        track.likelihoods = (l1, l0)
+        track.likelihoods = likelihoods(cues, params)
+        track.belief = update(b_bar, *track.likelihoods)

@@ -18,11 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import raster
-from .params import ConfigError, Params, apply_overrides, validate
+from .params import ConfigError, Params, apply_overrides
 from .perception import region_label_map
 from .scene import Scenario, load_scenario
-from .simloop import (TELEMETRY_FIELDS, TRACK_FIELDS, EpisodeResult,
-                      format_row, run_episode)
+from .simloop import TELEMETRY_FIELDS, TRACK_FIELDS, EpisodeResult, run_episode
 
 EXIT_OK = 0
 EXIT_ABORTED = 2
@@ -58,7 +57,6 @@ class RunConfig:
     def from_args(cls, scenario: str, overrides: list[str], seeds: str,
                   out: str, emit: str, workers: int) -> "RunConfig":
         params = apply_overrides(Params(), parse_overrides(overrides))
-        validate(params)
         tokens = frozenset(t.strip() for t in emit.split(",") if t.strip())
         unknown = tokens - _EMIT_TOKENS
         if unknown:
@@ -134,12 +132,20 @@ class MapWriter:
         raster.gray_to_pgm(self.dir / f"{stem}_feasibility.pgm", feas_map)
 
 
+def _fmt(value: float | int | str | None) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
 def _write_csv(path: Path, fields: tuple[str, ...], rows: list[dict]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)
         for row in rows:
-            writer.writerow(format_row(row, fields))
+            writer.writerow([_fmt(row.get(name)) for name in fields])
 
 
 def _summary_row(res: EpisodeResult) -> dict:

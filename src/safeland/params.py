@@ -6,8 +6,8 @@ v_xy_max, v_z_max) use the same names in config files and ``--set``
 overrides so a run can be reproduced from its summary line alone.
 
 Every numeric field of ``Params`` and of the scenario dataclasses in
-``scene`` declares its domain with ``ranged``; ``validate`` and
-``apply_overrides`` enforce it and raise ``ConfigError``.
+``scene`` declares its domain with ``ranged``; each is ``validate``d when
+built, ``apply_overrides`` checks each override, and both raise ``ConfigError``.
 """
 from __future__ import annotations
 
@@ -132,6 +132,9 @@ class Params:
     f_max: int = ranged(300, ge=1)                 # scan frames before timeout
     f_max_exec: int = ranged(2000, ge=1)           # hard cap on execution frames
     h_td: float = ranged(0.05, gt=0.0)             # m, touchdown altitude
+
+    def __post_init__(self) -> None:
+        validate(self)
 
 
 # config files and --set use "lambda"; the attribute is `lam` (reserved word)

@@ -84,7 +84,6 @@ class RegionMask:
 @dataclass(frozen=True)
 class PlaneFit:
     normal: np.ndarray     # unit 3-vector, camera frame, oriented toward the camera
-    offset: float          # m, distance of the plane from the camera center
     rms_residual: float    # m, RMS orthogonal distance
 
 
@@ -178,7 +177,7 @@ def extract_regions(frame: DepthFrame, params: Params,
         area = int(areas[lab])
         comp_valid = comp & frame.valid[box]
         n_valid = int(comp_valid.sum())
-        if n_valid == 0 or 1.0 - n_valid / area > params.max_invalid_frac:
+        if 1.0 - n_valid / area > params.max_invalid_frac:
             continue
         vs, us = np.nonzero(comp)
         centroid = (float((us + box[1].start).mean()), float((vs + box[0].start).mean()))
@@ -207,7 +206,7 @@ def extract_regions(frame: DepthFrame, params: Params,
 
 
 def tls_plane(points: np.ndarray) -> PlaneFit | None:
-    """Total-least-squares plane through a point set (camera frame).
+    """Total-least-squares plane through a point set (camera frame): its normal and RMS residual.
 
     Returns None when the points are too few or collinear. Order- and
     duplication-invariant: the fit depends only on the point distribution.
@@ -225,9 +224,7 @@ def tls_plane(points: np.ndarray) -> PlaneFit | None:
     normal = evecs[:, 0]
     if normal @ centroid > 0.0:
         normal = -normal                       # orient toward the camera
-    rms = float(np.sqrt(max(evals[0], 0.0)))
-    offset = float(-normal @ centroid)
-    return PlaneFit(normal=normal, offset=offset, rms_residual=rms)
+    return PlaneFit(normal=normal, rms_residual=float(np.sqrt(max(evals[0], 0.0))))
 
 
 def fit_plane(frame: DepthFrame, region: RegionMask) -> PlaneFit | None:
@@ -238,8 +235,6 @@ def fit_plane(frame: DepthFrame, region: RegionMask) -> PlaneFit | None:
     """
     rows, cols = region.box
     sel = region.box_pixels & frame.valid[rows, cols]
-    if int(sel.sum()) < 3:
-        return None
     vs, us = np.nonzero(sel)
     xn, yn = frame.camera.normalized(us + cols.start, vs + rows.start)
     d = frame.depth[rows, cols][sel]

@@ -40,8 +40,5 @@ def labels_to_pgm(path: str | Path, labels: np.ndarray) -> None:
     """8-bit label map; label ids are spread over the gray range."""
     lab = np.asarray(labels)
     n = int(lab.max()) if lab.size else 0
-    if n <= 0:
-        write_pgm(path, np.zeros_like(lab, dtype=np.uint8), 255)
-        return
     scaled = np.where(lab > 0, 40 + (lab * (215 // max(n, 1))) % 216, 0)
     write_pgm(path, scaled.astype(np.uint8), 255)

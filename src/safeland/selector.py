@@ -24,30 +24,24 @@ import numpy as np
 from scipy import ndimage
 
 
-def distance_sq_to(targets: np.ndarray, pad_with_targets: bool = False) -> np.ndarray:
+def distance_sq_to(targets: np.ndarray) -> np.ndarray:
     """Exact squared Euclidean pixel distance from every pixel to the nearest target.
 
-    With ``pad_with_targets`` the image is treated as surrounded by a
-    one-pixel ring of targets. Target pixels report 0. An image without
-    any target raises ``ValueError``.
+    Target pixels report 0. An image without any target raises ``ValueError``.
     """
     t = np.asarray(targets, dtype=bool)
     if t.ndim != 2:
         raise ValueError("targets must be a 2-D boolean array")
-    if pad_with_targets:
-        t = np.pad(t, 1, constant_values=True)
     if not t.any():
         raise ValueError("targets must contain at least one target pixel")
     d = ndimage.distance_transform_edt(~t)
-    if pad_with_targets:
-        d = d[1:-1, 1:-1]
     return np.rint(d * d).astype(np.int64)
 
 
 def inscribed_distance_sq(mask: np.ndarray) -> np.ndarray:
-    """Squared distance of every mask pixel to the nearest background pixel."""
+    """Squared distance of every mask pixel to the nearest background pixel or the border."""
     m = np.asarray(mask, dtype=bool)
-    d2 = distance_sq_to(~m, pad_with_targets=True)
+    d2 = distance_sq_to(np.pad(~m, 1, constant_values=True))[1:-1, 1:-1]
     return np.where(m, d2, 0)
 
 

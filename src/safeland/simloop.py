@@ -33,7 +33,7 @@ from . import belief as bel
 from . import perception as per
 from . import selector as sel
 from . import servo as srv
-from .params import Params, validate
+from .params import Params
 from .scene import (CameraModel, DepthFrame, Scenario, World, build_world,
                     corrupt, render_true_depth)
 
@@ -123,8 +123,6 @@ class _ScanGuidance:
         self.index = 0
 
     def setpoint(self, position: np.ndarray) -> np.ndarray:
-        if not self.waypoints:
-            return np.zeros(3)
         target = np.asarray(self.waypoints[self.index])
         delta = target - position[:2]
         dist = float(np.hypot(delta[0], delta[1]))
@@ -145,14 +143,6 @@ def make_camera(scenario: Scenario, position: np.ndarray) -> CameraModel:
                        focal_length=scenario.camera_focal, position=position)
 
 
-def _fmt(value: float | int | str | None) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _sense(scenario: Scenario, world: World, state: VehicleState,
            rng: np.random.Generator) -> DepthFrame:
     """The noisy depth frame seen from the vehicle's pose."""
@@ -162,7 +152,6 @@ def _sense(scenario: Scenario, world: World, state: VehicleState,
 
 def run_episode(scenario: Scenario, params: Params, seed: int,
                 observer: Observer | None = None) -> EpisodeResult:
-    validate(params)
     world = build_world(scenario)
     rng = np.random.default_rng(seed)
     start_xy = scenario.start if scenario.start is not None else (
@@ -269,7 +258,7 @@ def _execute(scenario: Scenario, params: Params, world: World,
     # detect the feature cloud around the committed center; the anchor point
     # tracks the center's image position through the cloud's common motion
     frame = _sense(scenario, world, state, rng)
-    fs, z_t = srv.acquire(frame, frame.camera.project(c_world), commit_mask.pixels, params)
+    fs = srv.acquire(frame, frame.camera.project(c_world), commit_mask.pixels, params)
     if fs is None:
         result.outcome = "aborted"
         result.frames_total += 1
@@ -277,6 +266,7 @@ def _execute(scenario: Scenario, params: Params, world: World,
                       n_regions=0, n_tracks=0, n_features=0)
         return
 
+    z_t = fs.ref_z
     lost = 0
     for k in range(params.f_max_exec):
         t = start_t + k
@@ -349,7 +339,3 @@ def _record_frame(result: EpisodeResult, t: int, phase: str, state: VehicleState
                    map(float, (*state.position, *state.velocity, *cmd))))
     row.update(t=t, phase=phase, **fields)
     result.telemetry.append(row)
-
-
-def format_row(row: dict, fields: tuple[str, ...]) -> list[str]:
-    return [_fmt(row.get(name)) for name in fields]

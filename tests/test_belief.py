@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safeland.belief import (RegionTrack, _iou_matrix, associate, cue_likelihood,
-                             likelihood_safe, likelihood_unsafe, predict, step,
-                             update)
-from safeland.params import Params, validate
+                             likelihoods, predict, step, update)
+from safeland.params import Params
 from safeland.perception import CueVector, RegionMask
 
 import oracles
@@ -25,33 +24,31 @@ def cues_for_l(l_f=1.0, l_s=1.0, l_o=1.0, m=None):
 
 class TestLikelihoods:
     def test_perfect_cues_give_unit_safe_likelihood(self):
-        assert likelihood_safe(CueVector(0.0, 0.0, 0.0), Params()) == 1.0
+        assert likelihoods(CueVector(0.0, 0.0, 0.0), Params())[0] == 1.0
 
     def test_single_weighted_factor(self):
         m = Params()
         cues = cues_for_l(l_f=0.5, m=m)
-        assert likelihood_safe(cues, m) == pytest.approx(0.5 ** 0.4, abs=1e-12)
+        assert likelihoods(cues, m)[0] == pytest.approx(0.5 ** 0.4, abs=1e-12)
 
     def test_zero_weights_give_unit_likelihoods(self):
         m = Params(w_f=0.0, w_s=0.0, w_o=0.0)
         cues = CueVector(flatness=3.0, slope=1.0, obstacle=0.9)
-        assert likelihood_safe(cues, m) == 1.0
-        assert likelihood_unsafe(cues, m) == 1.0
+        assert likelihoods(cues, m) == (1.0, 1.0)
 
     def test_perfect_cues_floor_the_unsafe_likelihood(self):
-        assert likelihood_unsafe(CueVector(0.0, 0.0, 0.0), Params()) == 0.05
+        assert likelihoods(CueVector(0.0, 0.0, 0.0), Params())[1] == 0.05
 
     def test_partial_complement_still_floored_by_zero_factors(self):
         # one informative factor, two zero factors: the product floors
         m = Params()
         cues = cues_for_l(l_f=0.5, m=m)
-        assert likelihood_unsafe(cues, m) == 0.05
+        assert likelihoods(cues, m)[1] == 0.05
 
     def test_symmetry_point_at_half(self):
         m = Params()
         cues = cues_for_l(0.5, 0.5, 0.5, m=m)
-        l1 = likelihood_safe(cues, m)
-        l0 = likelihood_unsafe(cues, m)
+        l1, l0 = likelihoods(cues, m)
         assert l1 == pytest.approx(0.5, abs=1e-12)
         assert l0 == pytest.approx(0.5, abs=1e-12)
 
@@ -62,8 +59,7 @@ class TestLikelihoods:
             cues = CueVector(flatness=float(rng.uniform(0, 10)),
                              slope=float(rng.uniform(0, math.pi / 2)),
                              obstacle=float(rng.uniform(0, 1)))
-            for fn in (likelihood_safe, likelihood_unsafe):
-                val = fn(cues, m)
+            for val in likelihoods(cues, m):
                 assert m.eps_l <= val <= 1.0
 
     def test_cue_mappings_monotone_non_increasing_with_unit_start(self):
@@ -149,9 +145,9 @@ class TestRecursion:
 
     def test_persistence_model_domain(self):
         with pytest.raises(ValueError):
-            validate(Params(alpha=0.5))
+            Params(alpha=0.5)
         with pytest.raises(ValueError):
-            validate(Params(alpha=1.0))
+            Params(alpha=1.0)
 
 
 def region_with_cells(cells: np.ndarray, camera=None) -> RegionMask:

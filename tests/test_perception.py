@@ -231,7 +231,6 @@ class TestFitPlane:
         assert fit is not None
         assert np.allclose(fit.normal, [0.0, 0.0, -1.0], atol=1e-12)
         assert fit.rms_residual == pytest.approx(0.0, abs=1e-9)
-        assert fit.offset == pytest.approx(5.0, abs=1e-9)
 
     def test_tilted_plane_recovers_analytic_normal(self):
         # plane z = 5 + 0.1 x in camera coordinates
@@ -286,7 +285,7 @@ class TestFitPlane:
                 assert (boxed is None) == (whole is None)
                 if boxed is not None:
                     assert boxed.normal.tobytes() == whole.normal.tobytes()
-                    assert (boxed.offset, boxed.rms_residual) == (whole.offset, whole.rms_residual)
+                    assert boxed.rms_residual == whole.rms_residual
 
     def test_order_and_duplication_invariance(self):
         rng = np.random.default_rng(3)
@@ -349,8 +348,7 @@ class TestComputeCues:
         region = RegionMask(**region_box(pixels), area_px=9, centroid_px=(20.0, 20.0),
                             ground_footprint=np.zeros(1, dtype=np.int64),
                             mean_depth=5.0, camera=frame.camera)
-        fit = PlaneFit(normal=np.array([0.0, 0.0, -1.0]), offset=5.0,
-                       rms_residual=0.0)
+        fit = PlaneFit(normal=np.array([0.0, 0.0, -1.0]), rms_residual=0.0)
         cues = compute_cues(frame, region, fit,
                             oracle_distance_px(obstacle), params)
         assert cues.obstacle == pytest.approx(math.exp(-2.0), abs=1e-12)
@@ -362,8 +360,7 @@ class TestComputeCues:
         region = RegionMask(**region_box(pixels), area_px=400, centroid_px=(9.5, 9.5),
                             ground_footprint=np.zeros(1, dtype=np.int64),
                             mean_depth=5.0, camera=frame.camera)
-        fit = PlaneFit(normal=np.array([0.0, 0.0, -1.0]), offset=5.0,
-                       rms_residual=0.0)
+        fit = PlaneFit(normal=np.array([0.0, 0.0, -1.0]), rms_residual=0.0)
         cues = compute_cues(frame, region, fit,
                             oracle_distance_px(np.zeros((20, 20), dtype=bool)), params)
         assert cues.obstacle == 0.0
@@ -377,8 +374,7 @@ class TestComputeCues:
         region = RegionMask(**region_box(pixels), area_px=9, centroid_px=(30.0, 20.0),
                             ground_footprint=np.zeros(1, dtype=np.int64),
                             mean_depth=5.0, camera=frame.camera)
-        fit = PlaneFit(normal=np.array([0.0, 0.0, -1.0]), offset=5.0,
-                       rms_residual=0.0)
+        fit = PlaneFit(normal=np.array([0.0, 0.0, -1.0]), rms_residual=0.0)
         scores = []
         for col in (25, 18, 10, 2):
             obstacle = np.zeros((h, w), dtype=bool)
@@ -398,10 +394,10 @@ class TestComputeCues:
         n = np.array([0.1, 0.0, -1.0])
         n /= np.linalg.norm(n)
         cues_a = compute_cues(frame, region,
-                              PlaneFit(n, 5.0, 0.0),
+                              PlaneFit(n, 0.0),
                               oracle_distance_px(np.zeros((20, 20), dtype=bool)), params)
         cues_b = compute_cues(frame, region,
-                              PlaneFit(-n, 5.0, 0.0),
+                              PlaneFit(-n, 0.0),
                               oracle_distance_px(np.zeros((20, 20), dtype=bool)), params)
         assert cues_a.slope == pytest.approx(cues_b.slope, abs=1e-15)
 

@@ -74,6 +74,9 @@ def test_label_export_keeps_background_black(tmp_path):
     out = read_pgm(path)
     assert out[0, 0] == 0 and out[1, 1] == 0
     assert out[0, 1] != 0 and out[1, 0] != 0
+    labels_to_pgm(path, np.zeros((2, 3), dtype=np.int32))   # no region at all
+    out = read_pgm(path)
+    assert out.shape == (2, 3) and not out.any()
 
 
 def test_rejects_non_2d_and_bad_maxval(tmp_path):

@@ -348,6 +348,8 @@ class TestDomains:
         (lambda: dataclasses.replace(Scenario(), camera_height=0), "camera_height"),
         (lambda: FlatPatch(center=None), "center"),
         (lambda: NoiseModel(burst_magnitude=math.inf), "burst_magnitude"),
+        (lambda: Params(alpha=1.0), "alpha"),
+        (lambda: dataclasses.replace(Params(), tau=2.0), "tau"),
     ])
     def test_wrong_type_shape_or_value_names_the_field(self, make, name):
         with pytest.raises(ConfigError, match=rf"^{re.escape(name)}="):

@@ -126,11 +126,11 @@ class TestAcquire:
     def acquire_in(self, frame, region, params, radius):
         """The acquired set, checked against the valid disk pixels it searched."""
         searched = disk_mask(region.shape, self.CENTER, radius) & region & frame.valid
-        fs, z0 = acquire(frame, self.CENTER, region, params)
+        fs = acquire(frame, self.CENTER, region, params)
         assert np.array_equal(fs.anchor_px, self.CENTER)
         us, vs = fs.points.astype(int).T
         assert fs.n_t > 0 and searched[vs, us].all()
-        assert z0 == float(frame.depth[searched].mean()) == fs.ref_z
+        assert fs.ref_z == float(frame.depth[searched].mean())
         return fs
 
     def test_anchored_on_the_center_inside_disk_and_region(self, params):
@@ -144,10 +144,10 @@ class TestAcquire:
         region = np.zeros(frame.valid.shape, dtype=bool)
         region[:, 44:48] = True      # inside the disk, but all invalid
         region[:, 80:] = True        # valid, but outside the disk
-        fs, z0 = acquire(frame, self.CENTER, region, params)
+        fs = acquire(frame, self.CENTER, region, params)
         # the same set and depth as a search of the whole disk
         whole = self.acquire_in(frame, np.ones_like(region), params, params.commit_window_px)
-        assert np.array_equal(fs.points, whole.points) and z0 == whole.ref_z
+        assert np.array_equal(fs.points, whole.points) and fs.ref_z == whole.ref_z
 
     def test_three_times_the_window_when_the_small_one_is_flat(self, params):
         intensity = textured_image(seed=7)
@@ -160,7 +160,7 @@ class TestAcquire:
 
     def test_textureless_frame_finds_nothing(self, params):
         frame = self.frame(np.full((72, 96), 0.5))
-        assert acquire(frame, self.CENTER, frame.valid, params) == (None, None)
+        assert acquire(frame, self.CENTER, frame.valid, params) is None
 
 
 def match_like_reference(intensity, templates, points, params):
@@ -319,8 +319,7 @@ class TestControl:
         z = 4.0
         target = np.array([0.4, -0.3])   # ground offset of the mark, m
         cam = np.zeros(2)
-        limits = dataclasses.replace(params, v_xy_max=1e9, v_z_max=1e9,
-                                     e_align=1e-12, v_des=0.0)
+        limits = dataclasses.replace(params, v_xy_max=1e9, v_z_max=1e9, e_align=1e-12)
         tol = 0.05 * params.lam * dt
         bound = 1.0 - params.lam * dt + tol
         prev = None

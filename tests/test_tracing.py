@@ -18,6 +18,16 @@ _NAMES = tracing.STAGES + tracing.COUNTED
 # hooks the loop no longer reaches: a region's radius is measured when it is
 # extracted, and the render builds no per-pixel ray grid
 _IDLE = {"selector.feasibility", "scene.pixel_dirs"}
+# calls of each reached stage in the short episode below: two scan frames
+# (commit on the second), then five execution frames, the first of them
+# acquisition's detection
+_EPISODE_CALLS = {
+    "scene.build_world": 1, "scene.render": 7, "scene.corrupt": 7,
+    "perception.screen": 2, "perception.extract": 2, "perception.fit_plane": 4,
+    "perception.cues": 4, "belief.associate": 2, "belief.step": 2,
+    "selector.select": 2, "servo.track": 5, "servo.control": 5,
+    "perception.obstacle_dt": 2,
+}
 
 
 @pytest.mark.parametrize("stage, owner, name", _NAMES, ids=[s for s, _, _ in _NAMES])
@@ -33,9 +43,10 @@ def test_every_hooked_stage_is_called_by_an_episode():
     tracer = tracing.Tracer()
     with tracer.installed():
         result = run_episode(scenario, Params(f_max_exec=5), seed=0)
-    assert result.frames_to_commit is not None
+    assert (result.outcome, result.frames_total, result.frames_to_commit) == ("timeout", 7, 1)
     uncalled = {stage for stage, _, _ in _NAMES if tracer.calls[stage] == 0}
     assert uncalled == _IDLE
+    assert {stage: tracer.calls[stage] for stage in _EPISODE_CALLS} == _EPISODE_CALLS
 
 
 def test_bench_selftest_passes(capsys):
