@@ -34,7 +34,8 @@ def likelihoods(cues: CueVector, params: Params) -> tuple[float, float]:
     l1 is the weighted product of the per-cue likelihoods; l0 the same
     product of their complements, so it increases as the cues worsen.
     """
-    l_f = cue_likelihood(cues.flatness, params.sigma_f_cue, params.eps_l)
+    # the flatness cue is already the plane-fit RMS over sigma_f
+    l_f = cue_likelihood(cues.flatness, 1.0, params.eps_l)
     l_s = cue_likelihood(cues.slope, params.sigma_s, params.eps_l)
     l_o = cue_likelihood(cues.obstacle, params.sigma_o, params.eps_l)
     safe = l_f ** params.w_f * l_s ** params.w_s * l_o ** params.w_o

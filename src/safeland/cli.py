@@ -126,7 +126,7 @@ class MapWriter:
             belief_map[pixels] = track.belief
             if track.likelihoods is not None:
                 like_map[pixels] = track.likelihoods[0]
-            feas_map[pixels] = min(data["feasibility"][track.id].rho / 2.0, 1.0)
+            feas_map[pixels] = min(track.mask.rho / 2.0, 1.0)
         raster.gray_to_pgm(self.dir / f"{stem}_belief.pgm", belief_map)
         raster.gray_to_pgm(self.dir / f"{stem}_likelihood.pgm", like_map)
         raster.gray_to_pgm(self.dir / f"{stem}_feasibility.pgm", feas_map)

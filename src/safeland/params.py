@@ -5,6 +5,12 @@ The core symbols (alpha, tau, rho_min, w_f/w_s/w_o, lambda, f_s, b0,
 v_xy_max, v_z_max) use the same names in config files and ``--set``
 overrides so a run can be reproduced from its summary line alone.
 
+A number is a field of ``Params`` when it is one of the paper's
+symbols, a model parameter of the likelihood, screening or control law,
+set by a caller outside the package (the bench, the README or a test),
+or planned to be varied by an open ROADMAP item. Every other number is
+an implementation constant, a module constant beside its one reader.
+
 Every numeric field of ``Params`` and of the scenario dataclasses in
 ``scene`` declares its domain with ``ranged``; each is ``validate``d when
 built, ``apply_overrides`` checks each override, and both raise ``ConfigError``.
@@ -94,11 +100,9 @@ class Params:
 
     # cue shaping
     sigma_f: float = ranged(0.02, gt=0.0)          # m, plane-fit RMS that maps to flatness cue 1.0
-    sigma_f_cue: float = ranged(1.0, gt=0.0)       # flatness likelihood scale, normalized cue
     sigma_s: float = ranged(0.15, gt=0.0)          # rad, scale of the slope likelihood
     sigma_o: float = ranged(0.5, gt=0.0)           # scale of the obstacle likelihood
     d_scale: float = ranged(0.5, gt=0.0)  # m, obstacle-distance scale in the proximity score
-    obstacle_k: int = ranged(9, ge=1)  # interior pixels (nearest the centroid) used for proximity
 
     # region screening
     screen_k: int = ranged(5, ge=3)                # px, window for local height statistics
@@ -110,7 +114,6 @@ class Params:
     # association
     iou_min: float = ranged(0.3, gt=0.0, lt=1.0)   # ground-footprint IoU required for a match
     track_grace: int = ranged(5, ge=0)             # frames a track survives unmatched
-    assoc_res: float = ranged(0.10, gt=0.0)        # m, ground-cell size for footprint IoU
 
     # servo / control
     lam: float = ranged(0.8, gt=0.0)               # servo gain (config symbol: lambda)
@@ -119,19 +122,13 @@ class Params:
     e_align: float = ranged(0.05, gt=0.0)  # normalized image error below which descent engages
     v_des: float = ranged(0.2, gt=0.0)             # m/s, gated descent rate
     n_min: int = ranged(8, ge=1)                   # re-detect features below this count
-    n_max: int = ranged(40, ge=1)                  # feature budget
-    patch_radius: int = ranged(4, ge=1)            # px, template half-size (9x9 patches)
     search_radius: int = ranged(10, ge=1)          # px, match search half-window (21x21)
     # refresh templates after this relative depth change
     retemplate_ratio: float = ranged(0.25, gt=0.0, lt=1.0)
-    commit_window_px: int = ranged(24, ge=1)  # px, detection radius around the committed center
-    mse_max: float = ranged(0.005, gt=0.0)         # per-pixel SSD threshold for accepting a match
 
     # vehicle / episode
-    t_v: float = ranged(0.5, gt=0.0)               # s, first-order velocity-response time constant
     f_max: int = ranged(300, ge=1)                 # scan frames before timeout
     f_max_exec: int = ranged(2000, ge=1)           # hard cap on execution frames
-    h_td: float = ranged(0.05, gt=0.0)             # m, touchdown altitude
 
     def __post_init__(self) -> None:
         validate(self)

@@ -37,7 +37,7 @@ those of the full-frame arrays. The full-frame mask is pasted from the
 box on request, for the readers that need one. Region extraction forms
 world x and y only for each region's valid pixels, along the camera's
 rays. Its ground footprint is the sorted unique int64 keys ``cx·2³² + cy``
-of the cells ``(cx, cy) = floor((x, y) / assoc_res)`` those points hit.
+of the cells ``(cx, cy) = floor((x, y) / _ASSOC_RES)`` those points hit.
 """
 from __future__ import annotations
 
@@ -51,6 +51,8 @@ from .scene import CameraModel, DepthFrame
 from .selector import distance_sq_to
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
+_ASSOC_RES = 0.10  # m, ground-cell size of a region's footprint
+_OBSTACLE_K = 9    # region pixels nearest the centroid that the proximity cue reads
 
 
 @dataclass(frozen=True)
@@ -184,8 +186,8 @@ def extract_regions(frame: DepthFrame, params: Params,
         vv, uu = np.nonzero(comp_valid)
         d = frame.depth[box][comp_valid]
         # the ground cell of each valid pixel
-        cx = np.floor((cam_x + xd[box[1]][uu] * d) / params.assoc_res).astype(np.int64)
-        cy = np.floor((cam_y + yd[box[0]][vv] * d) / params.assoc_res).astype(np.int64)
+        cx = np.floor((cam_x + xd[box[1]][uu] * d) / _ASSOC_RES).astype(np.int64)
+        cy = np.floor((cam_y + yd[box[0]][vv] * d) / _ASSOC_RES).astype(np.int64)
         mean_depth = float(d.mean())
         # row-major argmax in the box = lowest row, then column, in the frame
         d2 = np.where(comp, screen.clearance_sq[box], 0)
@@ -260,7 +262,7 @@ def compute_cues(frame: DepthFrame, mask: RegionMask, fit: PlaneFit,
     cu, cv = mask.centroid_px
     d2c = (us - cu) ** 2 + (vs - cv) ** 2
     order = np.lexsort((us, vs, d2c))
-    sel = order[:params.obstacle_k]
+    sel = order[:_OBSTACLE_K]
     gsd = mask.mean_depth / frame.camera.focal_length
     d_obs = float(obstacle_dist_px[vs[sel], us[sel]].mean()) * gsd
     prox = float(np.exp(-d_obs / params.d_scale))

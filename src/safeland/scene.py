@@ -139,19 +139,22 @@ class DepthFrame:
     camera: CameraModel
 
 
+def _lattice_coords(x, n: int):
+    """Lower node ``i0``, fraction ``f``, its complement ``1 - f`` and the
+    on-lattice test of coordinates ``x`` on the nodes 0 .. n-1; a coordinate
+    off the lattice takes the nearest end's weights. A lattice one node long
+    has ``i0`` -1, which wraps to node 0 when it indexes."""
+    xc = np.clip(x, 0.0, n - 1)
+    i0 = np.minimum(xc.astype(np.int64), n - 2)
+    f = xc - i0
+    return i0, f, 1.0 - f, (x >= 0.0) & (x <= n - 1)
+
+
 def _bilinear_grid(grid: np.ndarray, resolution: float, x, y,
                    out_of_bounds: float) -> np.ndarray:
-    x = np.asarray(x, dtype=float) / resolution
-    y = np.asarray(y, dtype=float) / resolution
     ny, nx = grid.shape
-    inside = (x >= 0.0) & (x <= nx - 1) & (y >= 0.0) & (y <= ny - 1)
-    xc = np.clip(x, 0.0, nx - 1)
-    yc = np.clip(y, 0.0, ny - 1)
-    i0 = np.minimum(xc.astype(np.int64), nx - 2)
-    j0 = np.minimum(yc.astype(np.int64), ny - 2)
-    fx = xc - i0
-    fy = yc - j0
-    ex, ey = 1.0 - fx, 1.0 - fy
+    i0, fx, ex, in_x = _lattice_coords(np.asarray(x, dtype=float) / resolution, nx)
+    j0, fy, ey, in_y = _lattice_coords(np.asarray(y, dtype=float) / resolution, ny)
     i1, j1 = i0 + 1, j0 + 1
     # corner by corner, in place: (g00 * ex * ey + g01 * fx * ey) + ... in that order
     v = grid[j0, i0] * ex
@@ -160,7 +163,7 @@ def _bilinear_grid(grid: np.ndarray, resolution: float, x, y,
         term = grid[j, i] * wx
         term *= wy
         v += term
-    return np.where(inside, v, out_of_bounds)
+    return np.where(in_x & in_y, v, out_of_bounds)
 
 
 def _downsample2(grid: np.ndarray) -> np.ndarray:
@@ -218,10 +221,9 @@ class World:
         lo = np.floor(level).astype(np.int64)
         frac = level - lo
         out = np.zeros(xb.shape)
-        for lev in range(int(lo.min()), int(lo.max()) + 1):
+        # the levels present, in one pass (np.unique sorts, at 3% of a render)
+        for lev in np.flatnonzero(np.bincount(lo.ravel())):
             selm = lo == lev
-            if not selm.any():
-                continue
             res_lo = _TEX_RES * (2.0 ** lev)
             v_lo = _bilinear_grid(self.texture_mips[lev], res_lo,
                                   xb[selm], yb[selm], 0.0)
@@ -451,20 +453,12 @@ def _lattice_heights(world: World, origin: np.ndarray, xd: np.ndarray,
     """
     grid = world.heights
     ny, nx = grid.shape
-    x = (origin[0] + ts[:, None] * xd) / world.resolution     # (K, W)
-    y = (origin[1] + ts[:, None] * yd) / world.resolution     # (K, H)
-    inside = (((x >= 0.0) & (x <= nx - 1))[:, None, :]
-              & ((y >= 0.0) & (y <= ny - 1))[:, :, None])
-    xc = np.clip(x, 0.0, nx - 1)
-    yc = np.clip(y, 0.0, ny - 1)
-    i0 = np.minimum(xc.astype(np.int64), nx - 2)
-    j0 = np.minimum(yc.astype(np.int64), ny - 2)
-    fx = xc - i0
-    fy = yc - j0
-    ex, ey = 1.0 - fx, 1.0 - fy
+    # (K, W) per column and (K, H) per row
+    i0, fx, ex, in_x = _lattice_coords((origin[0] + ts[:, None] * xd) / world.resolution, nx)
+    j0, fy, ey, in_y = _lattice_coords((origin[1] + ts[:, None] * yd) / world.resolution, ny)
     r0 = int(j0.min())
     rows = grid[np.arange(r0, int(j0.max()) + 2)]             # (R, Nx)
-    n_k, n_u = x.shape
+    n_k, n_u = i0.shape
     # (R * K, W): row (j - r0) * K + k holds sample k's corner on heightfield row j
     a0 = (rows[:, i0] * ex).reshape(-1, n_u)
     a1 = (rows[:, i0 + 1] * fx).reshape(-1, n_u)
@@ -476,7 +470,7 @@ def _lattice_heights(world: World, origin: np.ndarray, xd: np.ndarray,
         term = a[j]
         term *= wy[:, :, None]
         v += term
-    np.copyto(v, _EXIT_HEIGHT, where=~inside)
+    np.copyto(v, _EXIT_HEIGHT, where=~(in_x[:, None, :] & in_y[:, :, None]))
     return v
 
 
@@ -568,8 +562,7 @@ def corrupt(frame: DepthFrame, noise: NoiseModel, rng: np.random.Generator) -> D
     additive/dropout fields are always full-frame so the stream does not
     depend on the validity layout.
     """
-    depth = frame.depth.copy()
-    valid = frame.valid.copy()
+    depth, valid = frame.depth, frame.valid   # each step below builds a new array
     if noise.burst_prob > 0.0:
         if rng.random() < noise.burst_prob:
             depth = np.where(valid, depth + noise.burst_magnitude, depth)

@@ -12,9 +12,9 @@ Matching is batched over the whole feature set: one SSD over every
 point's full search window, gathered in blocks of a few points to bound
 memory, and one Gauss-Newton refiner that stops each point on its own
 rules through an active mask. Its reductions are the ones that keep the
-bits of a per-point loop (a row-major argmin over windows whose clipped
-positions score inf, ``np.vecdot`` for the dot products, ``math.hypot``
-for step lengths).
+bits of a per-point loop (a row-major argmin over windows of an image
+padded with inf, so a window that leaves the image scores inf,
+``np.vecdot`` for the dot products, ``math.hypot`` for step lengths).
 
 The feature set also carries an anchor: the image position of a chosen
 scene point (the committed center for ``acquire``; the detection
@@ -38,12 +38,16 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .params import Params
-from .scene import DepthFrame, _bilinear_grid
+from .scene import DepthFrame, _bilinear_grid, _lattice_coords
 
 _MIN_CORNER_SCORE = 1e-5  # variance threshold; constant patches score zero
 _SCORE_WIN = 5            # px, window of the corner variance score
 _NMS_RADIUS = 3           # px, corner non-maximum suppression half-window
 _REFINE_ITERS = 3         # Gauss-Newton steps of the sub-pixel refinement
+_PATCH_RADIUS = 4         # px, template half-size (9x9 patches)
+_N_MAX = 40               # feature budget
+_COMMIT_WINDOW_PX = 24    # px, detection radius around the committed center
+_MSE_MAX = 0.005          # per-pixel SSD threshold for accepting a match
 
 
 @dataclass
@@ -68,11 +72,9 @@ def detect_features(intensity: np.ndarray, allowed: np.ndarray, *,
                     n_max: int, margin: int) -> np.ndarray:
     """Top corner candidates at least ``margin`` px inside the image, as (N, 2) integer (u, v)."""
     score = _variance_score(intensity)
-    ok = allowed.copy()
-    ok[:margin, :] = False
-    ok[-margin:, :] = False
-    ok[:, :margin] = False
-    ok[:, -margin:] = False
+    inner = (slice(margin, -margin),) * 2
+    ok = np.zeros_like(allowed)
+    ok[inner] = allowed[inner]
     local_max = ndimage.maximum_filter(score, size=2 * _NMS_RADIUS + 1,
                                        mode="nearest") == score
     cand = ok & local_max & (score > _MIN_CORNER_SCORE)
@@ -101,11 +103,9 @@ def _warp_template(templates: np.ndarray, scale: float) -> np.ndarray:
         return templates
     p = templates.shape[-1]
     c = (p - 1) / 2.0
-    coords = np.clip((np.arange(p) - c) / scale + c, 0.0, p - 1.0)
-    i0 = np.minimum(coords.astype(np.int64), p - 2)
-    f = coords - i0
-    rows = templates[..., i0, :] * (1.0 - f)[:, None] + templates[..., i0 + 1, :] * f[:, None]
-    return rows[..., i0] * (1.0 - f)[None, :] + rows[..., i0 + 1] * f[None, :]
+    i0, f, e, _ = _lattice_coords((np.arange(p) - c) / scale + c, p)
+    rows = templates[..., i0, :] * e[:, None] + templates[..., i0 + 1, :] * f[:, None]
+    return rows[..., i0] * e[None, :] + rows[..., i0 + 1] * f[None, :]
 
 
 def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -169,14 +169,13 @@ def _match_points(intensity: np.ndarray, templates: np.ndarray, points: np.ndarr
                   mse_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-SSD match of every template in its search window, then refined.
 
-    Returns the matched positions and a mask of the points that matched:
-    a point fails when its window, clipped so the patch stays inside the
-    image, is empty or its best mean squared error exceeds ``mse_max``.
-    Positions outside a point's clipped window score inf, so the
-    row-major argmin picks the same position as a search of the clipped
-    window alone.
+    Every point's rounded position lies inside the image, as a tracked
+    point's does. Returns the matched positions and a mask of the points
+    that matched: a point fails when its best mean squared error exceeds
+    ``mse_max``. The image is padded with inf, so a window that leaves it
+    scores inf and the row-major argmin picks the same position as a
+    search of the window clipped to the image alone.
     """
-    h, w = intensity.shape
     pr, sr = patch_radius, search_radius
     p, s = 2 * pr + 1, 2 * sr + 1
     n = points.shape[0]
@@ -184,11 +183,10 @@ def _match_points(intensity: np.ndarray, templates: np.ndarray, points: np.ndarr
     centers = np.round(points).astype(np.int64)
     us = centers[:, 0, None] + offs                 # (N, S) candidate columns
     vs = centers[:, 1, None] + offs                 # (N, S) candidate rows
-    inside = (((vs >= pr) & (vs <= h - 1 - pr))[:, :, None]
-              & ((us >= pr) & (us <= w - 1 - pr))[:, None, :])
-    windows = sliding_window_view(intensity, (p, p))
-    rows = np.clip(vs - pr, 0, h - p)[:, :, None]
-    cols = np.clip(us - pr, 0, w - p)[:, None, :]
+    padded = np.pad(intensity, sr + pr, constant_values=np.inf)
+    windows = sliding_window_view(padded, (p, p))   # [j, i] centred on (u, v) = (i - sr, j - sr)
+    rows = (vs + sr)[:, :, None]
+    cols = (us + sr)[:, None, :]
     ssd = np.empty((n, s, s))
     for c in range(0, n, _SSD_CHUNK):
         blk = slice(c, c + _SSD_CHUNK)
@@ -196,7 +194,6 @@ def _match_points(intensity: np.ndarray, templates: np.ndarray, points: np.ndarr
         diff -= templates[blk, None, None]
         np.square(diff, out=diff)
         ssd[blk] = diff.sum(axis=(3, 4))
-    ssd[~inside] = np.inf
     ssd = ssd.reshape(n, s * s)
     flat = np.argmin(ssd, axis=1)
     each = np.arange(n)
@@ -254,10 +251,10 @@ def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
     population falls under ``n_min`` and searches a disk around the anchor.
     ``z_now`` is the current region depth, finite and positive.
     """
-    pr = params.patch_radius
+    pr = _PATCH_RADIUS
     margin = pr + 3
     if previous is None:
-        pts = detect_features(intensity, region_mask, n_max=params.n_max, margin=margin)
+        pts = detect_features(intensity, region_mask, n_max=_N_MAX, margin=margin)
         ptsf = pts.astype(float)
         anchor = ptsf.mean(axis=0) if len(ptsf) else np.zeros(2)
         return FeatureSet(points=ptsf, patches=_sample_patches(intensity, ptsf, pr),
@@ -271,8 +268,7 @@ def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
     h_img, w_img = intensity.shape
     border = float(margin)  # cull points before border clipping degrades their matches
     hits, matched = _match_points(intensity, _warp_template(previous.patches, scale),
-                                  previous.points, params.search_radius, pr,
-                                  params.mse_max)
+                                  previous.points, params.search_radius, pr, _MSE_MAX)
     keep = (matched & (border <= hits[:, 0]) & (hits[:, 0] <= w_img - 1 - border)
             & (border <= hits[:, 1]) & (hits[:, 1] <= h_img - 1 - border))
     prev_pts, new_pts = previous.points[keep], hits[keep]
@@ -288,17 +284,16 @@ def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
         new_pts = np.round(new_pts)
 
     if new_pts.shape[0] < params.n_min:
-        radius = max(2 * params.commit_window_px, 2 * params.search_radius)
+        radius = max(2 * _COMMIT_WINDOW_PX, 2 * params.search_radius)
         allowed = _disk(intensity.shape, anchor, radius) & region_mask
-        fresh = detect_features(intensity, allowed, n_max=params.n_max,
-                                margin=margin).astype(float)
+        fresh = detect_features(intensity, allowed, n_max=_N_MAX, margin=margin).astype(float)
         if new_pts.shape[0]:
             d2 = ((fresh[:, None, :] - new_pts[None, :, :]) ** 2).sum(axis=2)
             fresh = fresh[d2.min(axis=1) > (2.0 * pr) ** 2]
         if fresh.shape[0]:
             # the whole set must share one template capture depth: the
             # survivors are refreshed alongside the new points
-            new_pts = np.vstack([new_pts, fresh[: params.n_max - new_pts.shape[0]]])
+            new_pts = np.vstack([new_pts, fresh[: _N_MAX - new_pts.shape[0]]])
             refresh = True
 
     # the border cull and detection both keep every point ``margin`` px inside
@@ -319,13 +314,13 @@ def acquire(frame: DepthFrame, center_px: np.ndarray, region_pixels: np.ndarray,
             params: Params) -> FeatureSet | None:
     """Detect the feature set that locks onto a committed center at ``center_px``.
 
-    Searches the ``commit_window_px`` disk, then the 3x disk; in each the
+    Searches the ``_COMMIT_WINDOW_PX`` disk, then the 3x disk; in each the
     valid pixels of ``region_pixels`` ((H, W) bool), or every valid pixel
     of the disk when the region has none there. Returns the set anchored
     on ``center_px``, its ``ref_z`` the mean depth of the pixels searched,
     or None when neither disk holds a salient point.
     """
-    for radius in (params.commit_window_px, 3 * params.commit_window_px):
+    for radius in (_COMMIT_WINDOW_PX, 3 * _COMMIT_WINDOW_PX):
         disk = _disk(frame.valid.shape, center_px, radius) & frame.valid
         allowed = disk & region_pixels
         if not allowed.any():

@@ -7,8 +7,8 @@ selector is never re-entered and the terminal phase servos the vehicle
 over the committed center and descends. Tracking loss beyond the grace
 window aborts to hover. A scan that flies into an obstacle taller than
 the scan altitude ends the episode as crashed. Both phases take each
-frame from one sense step (render, then corrupt) and read every setting
-from ``Params``. A track's feasibility and centre are those of the
+frame from one sense step (render, then corrupt) and read the run's
+parameters from ``Params``. A track's feasibility and centre are those of the
 region it holds, measured once when the region was extracted; the
 selector returns the winning track itself, and the commit and the
 terminal phase read its centre and radius from that region; the
@@ -17,7 +17,7 @@ the centre's projection. Touchdown is tested against the surface under
 the vehicle, box tops included.
 
 Vehicle motion is kinematic: a first-order velocity response with time
-constant ``t_v`` followed by Euler position integration. Commands from
+constant ``_T_V`` followed by Euler position integration. Commands from
 the servo are given in camera axes with an up-positive vertical
 component; for the nadir camera, image right is world x and image down
 is world -y.
@@ -92,6 +92,8 @@ def step_vehicle_world(state: VehicleState, setpoint_world: np.ndarray,
 _SCAN_MARGIN = 1.0     # m, scan rows keep this far inside the extent
 _SCAN_OVERLAP = 0.5    # fraction of the camera swath shared by adjacent rows
 _WAYPOINT_REACH = 0.2  # m, distance at which a waypoint counts as reached
+_T_V = 0.5             # s, time constant of the vehicle's velocity response
+_H_TD = 0.05           # m, height over the surface that counts as touchdown
 
 
 def lawnmower_waypoints(extent: tuple[float, float], altitude: float,
@@ -164,6 +166,7 @@ def run_episode(scenario: Scenario, params: Params, seed: int,
     commit = _scan(scenario, params, world, rng, state, result, observer)
     if commit is not None:
         _execute(scenario, params, world, rng, *commit, result, observer)
+    result.frames_total = len(result.telemetry)   # one row per sensed frame
     return result
 
 
@@ -173,7 +176,7 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
 
     Returns (state, mask of the committed track's region), or None on
     timeout or when the vehicle has flown into the surface (outcome
-    ``crashed``, ``frames_total`` counting the frames sensed before).
+    ``crashed``, before the frame is sensed).
     """
     dt = 1.0 / params.f_s
     guidance = _ScanGuidance(
@@ -186,7 +189,6 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
         if state.position[2] <= world.surface_height_at(state.position[0], state.position[1]):
             result.outcome = "crashed"
             return None
-        result.frames_total = t + 1
         frame = _sense(scenario, world, state, rng)
         screen = per.screen_frame(frame, params)
         regions = per.extract_regions(frame, params, screen=screen)
@@ -237,7 +239,7 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
                                     "frame": frame, "mask": best.mask})
             return state, best.mask
 
-        state = step_vehicle_world(state, setpoint, dt, params.t_v)
+        state = step_vehicle_world(state, setpoint, dt, _T_V)
     return None
 
 
@@ -253,7 +255,7 @@ def _execute(scenario: Scenario, params: Params, world: World,
     """
     dt = 1.0 / params.f_s
     c_world = commit_mask.center
-    start_t = result.frames_total
+    start_t = len(result.telemetry)
 
     # detect the feature cloud around the committed center; the anchor point
     # tracks the center's image position through the cloud's common motion
@@ -261,7 +263,6 @@ def _execute(scenario: Scenario, params: Params, world: World,
     fs = srv.acquire(frame, frame.camera.project(c_world), commit_mask.pixels, params)
     if fs is None:
         result.outcome = "aborted"
-        result.frames_total += 1
         _record_frame(result, start_t, "exec", state, (0.0, 0.0, 0.0),
                       n_regions=0, n_tracks=0, n_features=0)
         return
@@ -270,7 +271,6 @@ def _execute(scenario: Scenario, params: Params, world: World,
     lost = 0
     for k in range(params.f_max_exec):
         t = start_t + k
-        result.frames_total = t + 1
         if k > 0:  # frame 0 is the one the features were detected on
             frame = _sense(scenario, world, state, rng)
 
@@ -305,9 +305,9 @@ def _execute(scenario: Scenario, params: Params, world: World,
             result.outcome = "aborted"
             return
 
-        state = step_vehicle_world(state, command_to_world(cmd), dt, params.t_v)
+        state = step_vehicle_world(state, command_to_world(cmd), dt, _T_V)
         surface = world.surface_height_at(state.position[0], state.position[1])
-        if state.position[2] - surface < params.h_td:
+        if state.position[2] - surface < _H_TD:
             result.outcome = "landed"
             result.touchdown_error = float(np.hypot(state.position[0] - c_world[0],
                                                     state.position[1] - c_world[1]))

@@ -20,7 +20,7 @@ from safeland.scene import load_scenario
 from safeland.selector import (FeasibilityResult, inscribed_distance_sq,
                                select)
 from safeland.servo import ibvs_velocity, interaction_matrix
-from safeland.simloop import run_episode
+from safeland.simloop import _H_TD, run_episode
 
 import oracles
 from conftest import SCENARIO_DIR, output_digest
@@ -190,7 +190,7 @@ def test_06_closed_loop_flat_landing():
     for k in range(gate, len(errors)):
         if errors[k] is None or exec_rows[k]["depth_z"] is None:
             continue
-        if exec_rows[k]["depth_z"] > 4 * params.h_td:
+        if exec_rows[k]["depth_z"] > 4 * _H_TD:
             assert errors[k] <= 2 * params.e_align
     assert elapsed < 10.0, f"closed-loop run took {elapsed:.2f}s"
     _report("06 closed-loop-landing (<0.05 m, bounded commands, error decay, <10s)")

@@ -17,7 +17,7 @@ from conftest import region_box
 def cues_for_l(l_f=1.0, l_s=1.0, l_o=1.0, m=None):
     """Cue vector whose per-cue likelihoods equal the requested values."""
     m = m or Params()
-    return CueVector(flatness=-m.sigma_f_cue * math.log(l_f),
+    return CueVector(flatness=-math.log(l_f),   # the flatness scale is 1.0
                      slope=-m.sigma_s * math.log(l_s),
                      obstacle=-m.sigma_o * math.log(l_o))
 
@@ -64,7 +64,7 @@ class TestLikelihoods:
 
     def test_cue_mappings_monotone_non_increasing_with_unit_start(self):
         m = Params()
-        for sigma in (m.sigma_f_cue, m.sigma_s, m.sigma_o):
+        for sigma in (1.0, m.sigma_s, m.sigma_o):
             assert cue_likelihood(0.0, sigma, m.eps_l) == 1.0
             xs = np.linspace(0.0, 5.0, 50)
             vals = [cue_likelihood(float(x), sigma, m.eps_l) for x in xs]

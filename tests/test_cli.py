@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import re
 from dataclasses import fields
 
 import pytest
@@ -75,9 +76,20 @@ class TestParsing:
         msg = str(err.value)
         assert "alpha" in msg and "(0.5, 1)" in msg
 
-    def test_unknown_symbol_rejected(self):
-        with pytest.raises(ConfigError):
-            apply_overrides(Params(), {"bogus": "1"})
+    # `bogus`, then implementation constants that are not fields
+    @pytest.mark.parametrize("name", [
+        "bogus", "sigma_f_cue", "obstacle_k", "assoc_res", "n_max", "patch_radius",
+        "commit_window_px", "mse_max", "t_v", "h_td"])
+    def test_unknown_symbol_rejected(self, name):
+        with pytest.raises(ConfigError, match="unknown parameter"):
+            apply_overrides(Params(), {name: "1"})
+
+    def test_readme_lists_every_set_symbol(self):
+        # the bullet list after "The fields, by that rule:" in the README
+        text = (SCENARIO_DIR.parent / "README.md").read_text(encoding="utf-8")
+        listed = text.split("The fields, by that rule:\n\n", 1)[1].split("\n\n", 1)[0]
+        names = set(re.findall(r"`([a-z_][a-z0-9_]*)`", listed))
+        assert names == {f.name for f in fields(Params)} | {"lambda"}
 
 
 def write_wall_scenario(tmp_path, start="[1.0, 1.0]"):
@@ -99,6 +111,13 @@ class TestMain:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "alpha" in err and "(0.5, 1)" in err
+
+    def test_implementation_constant_is_not_settable(self, tmp_path, capsys):
+        code = main([str(SCENARIO_DIR / "flat.yaml"), "--set", "patch_radius=5",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: unknown parameter 'patch_radius'")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_scenario_is_io_error(self, tmp_path, capsys):
         code = main([str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from safeland.perception import (CueVector, PlaneFit, RegionMask, _screen_result,
-                                 compute_cues, extract_regions, fit_plane,
+from safeland.perception import (_ASSOC_RES, CueVector, PlaneFit, RegionMask,
+                                 _screen_result, compute_cues, extract_regions, fit_plane,
                                  screen_frame, tls_plane)
 from safeland.scene import (Box, CameraModel, Scenario, build_world,
                             render_true_depth)
@@ -104,7 +104,7 @@ class TestExtractRegions:
                 sel = region.pixels & frame.valid
                 vs, us = np.nonzero(sel)
                 ground = oracles.backproject(frame.camera, us, vs, frame.depth[sel])[:, :2]
-                want = oracles.footprint_keys(np.floor(ground / params.assoc_res))
+                want = oracles.footprint_keys(np.floor(ground / _ASSOC_RES))
                 assert region.ground_footprint.dtype == want.dtype
                 assert np.array_equal(region.ground_footprint, want)
 

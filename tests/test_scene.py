@@ -268,6 +268,29 @@ class TestSeparableLookup:
                 assert lattice.tobytes() == pointwise.tobytes()
 
 
+class TestLatticeCoords:
+    """The lattice rule shared by the bilinear samplers, one coordinate at a time."""
+
+    @pytest.mark.parametrize("x, n, i0, inside", [
+        (-0.5, 5, 0, False),     # below the first node: its weights
+        (0.0, 5, 0, True),       # on the first node
+        (1.25, 5, 1, True),
+        (2.0, 5, 2, True),       # on an inner node: its lower cell
+        (3.999, 5, 3, True),
+        (4.0, 5, 3, True),       # on the last node: the last cell, fraction 1
+        (4.5, 5, 3, False),      # beyond the last node: its weights
+        (0.5, 2, 0, True),       # the smallest lattice with a cell
+        (0.0, 1, -1, True),      # one node: i0 -1 wraps to node 0
+    ])
+    def test_matches_the_scalar_rule(self, x, n, i0, inside):
+        got_i0, f, e, got_inside = scene._lattice_coords(np.array([x]), n)
+        xc = min(max(x, 0.0), n - 1)
+        assert got_i0.dtype == np.int64 and got_i0.tolist() == [i0]
+        assert f.tolist() == [xc - i0] and e.tolist() == [1.0 - (xc - i0)]
+        assert got_inside.tolist() == [inside]
+        assert 0.0 <= f[0] <= 1.0
+
+
 class TestCorrupt:
     def test_zero_noise_is_identity(self, flat_frame):
         noise = NoiseModel()

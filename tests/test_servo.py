@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from safeland.servo import (HOVER, FeatureSet, _hypot, _match_points, _sample_patches,
+from safeland.servo import (_COMMIT_WINDOW_PX, _MSE_MAX, _N_MAX, _PATCH_RADIUS, HOVER,
+                            FeatureSet, _hypot, _match_points, _sample_patches,
                             _warp_template, acquire, control, detect_and_track,
                             detect_features, ibvs_velocity, interaction_matrix)
 
@@ -65,17 +66,28 @@ class TestTracking:
         fs2 = detect_and_track(img, allowed, starved, params, z_now=5.0)
         assert fs2.n_t >= params.n_min
         # re-detection alone refreshes every template
-        assert np.array_equal(fs2.patches, _sample_patches(img, fs2.points, params.patch_radius))
+        assert np.array_equal(fs2.patches, _sample_patches(img, fs2.points, _PATCH_RADIUS))
 
     def test_detection_respects_allowed_mask(self, params):
         img = textured_image(seed=3)
         allowed = np.zeros_like(img, dtype=bool)
         allowed[20:50, 30:70] = True
-        pts = detect_features(img, allowed, n_max=params.n_max,
-                              margin=params.patch_radius)
+        pts = detect_features(img, allowed, n_max=_N_MAX, margin=_PATCH_RADIUS)
         assert len(pts) > 0
         assert np.all((pts[:, 0] >= 30) & (pts[:, 0] < 70))
         assert np.all((pts[:, 1] >= 20) & (pts[:, 1] < 50))
+
+    @pytest.mark.parametrize("margin", [1, 4, 7])
+    def test_detection_keeps_the_margin(self, margin):
+        img = textured_image(seed=3)
+        h, w = img.shape
+        pts = detect_features(img, np.ones_like(img, dtype=bool), n_max=1000, margin=margin)
+        assert len(pts) > 0
+        assert np.all((pts >= margin) & (pts <= np.array([w, h]) - 1 - margin))
+        # allowed only on the ring outside the margin: nothing to detect
+        ring = np.ones_like(img, dtype=bool)
+        ring[margin:-margin, margin:-margin] = False
+        assert len(detect_features(img, ring, n_max=1000, margin=margin)) == 0
 
     @pytest.mark.parametrize("name", ["flat", "cluttered", "undersized"])
     def test_refreshed_set_is_whole_pixels_inside_the_margin(self, episode_frames,
@@ -95,12 +107,12 @@ class TestTracking:
             # the snapped survivors lead the set, ahead of the fresh points
             assert np.array_equal(got.points[:survivors.n_t], survivors.points)
             pts = got.points
-            margin = p.patch_radius + 3
+            margin = _PATCH_RADIUS + 3
             h, w = b.intensity.shape
             assert np.array_equal(pts, np.round(pts))
             assert np.all((pts >= margin) & (pts <= np.array([w, h]) - 1 - margin))
             assert np.array_equal(got.patches,
-                                  _sample_patches(b.intensity, pts, p.patch_radius))
+                                  _sample_patches(b.intensity, pts, _PATCH_RADIUS))
             assert got.ref_z == 4.9
 
 
@@ -137,7 +149,7 @@ class TestAcquire:
         frame = self.frame()
         region = np.zeros(frame.valid.shape, dtype=bool)
         region[20:60, 30:70] = True
-        self.acquire_in(frame, region, params, params.commit_window_px)
+        self.acquire_in(frame, region, params, _COMMIT_WINDOW_PX)
 
     def test_whole_disk_when_the_region_has_no_valid_pixel_there(self, params):
         frame = self.frame()
@@ -146,16 +158,16 @@ class TestAcquire:
         region[:, 80:] = True        # valid, but outside the disk
         fs = acquire(frame, self.CENTER, region, params)
         # the same set and depth as a search of the whole disk
-        whole = self.acquire_in(frame, np.ones_like(region), params, params.commit_window_px)
+        whole = self.acquire_in(frame, np.ones_like(region), params, _COMMIT_WINDOW_PX)
         assert np.array_equal(fs.points, whole.points) and fs.ref_z == whole.ref_z
 
     def test_three_times_the_window_when_the_small_one_is_flat(self, params):
         intensity = textured_image(seed=7)
         # no variance in any 5 x 5 window centred in the small disk
-        small = disk_mask(intensity.shape, self.CENTER, params.commit_window_px)
-        intensity[disk_mask(intensity.shape, self.CENTER, params.commit_window_px + 3)] = 0.5
+        small = disk_mask(intensity.shape, self.CENTER, _COMMIT_WINDOW_PX)
+        intensity[disk_mask(intensity.shape, self.CENTER, _COMMIT_WINDOW_PX + 3)] = 0.5
         fs = self.acquire_in(self.frame(intensity), np.ones_like(small), params,
-                             3 * params.commit_window_px)
+                             3 * _COMMIT_WINDOW_PX)
         assert not small[fs.points[:, 1].astype(int), fs.points[:, 0].astype(int)].any()
 
     def test_textureless_frame_finds_nothing(self, params):
@@ -165,11 +177,11 @@ class TestAcquire:
 
 def match_like_reference(intensity, templates, points, params):
     """Batched matches, asserted bit-equal to the per-point reference."""
-    pr, sr = params.patch_radius, params.search_radius
-    hits, matched = _match_points(intensity, templates, points, sr, pr, params.mse_max)
+    pr, sr = _PATCH_RADIUS, params.search_radius
+    hits, matched = _match_points(intensity, templates, points, sr, pr, _MSE_MAX)
     for k in range(points.shape[0]):
         ref = oracles.match_point(intensity, templates[k], points[k, 0], points[k, 1],
-                                  sr, pr, params.mse_max)
+                                  sr, pr, _MSE_MAX)
         assert bool(matched[k]) == (ref is not None), k
         if ref is not None:
             assert (hits[k, 0], hits[k, 1]) == ref, k
@@ -196,7 +208,7 @@ class TestBatchedMatcher:
 
     def test_mixed_batch_matches_bit_exact(self, params):
         """One batch holding every way a point can end its match."""
-        pr = params.patch_radius
+        pr = _PATCH_RADIUS
         h, w = 72, 96
         img = textured_image(seed=4)
         ramp_v = np.arange(h)[:, None]
@@ -232,6 +244,34 @@ class TestBatchedMatcher:
         assert tuple(hits[5]) == (72.0, 36.0)
         one_step = oracles.subpixel_refine(img, templates[5], 72.0, 36.0, pr, iters=1)
         assert one_step[0] == pytest.approx(73.0, abs=1e-9)
+
+    @pytest.mark.parametrize("right, bottom", [(False, False), (True, False),
+                                               (False, True), (True, True)],
+                             ids=["top-left", "top-right", "bottom-left", "bottom-right"])
+    def test_window_leaving_the_image_in_a_corner(self, params, right, bottom):
+        """A search radius under the patch radius: on the corner pixel the
+        window holds no position whose patch lies inside the image, and
+        ``pr - sr`` px in from it exactly one."""
+        pr, sr = _PATCH_RADIUS, 2
+        img = textured_image(seed=5)
+        h, w = img.shape
+
+        def at(d, size, far):
+            return size - 1 - d if far else d
+
+        u0, v0 = at(0, w, right), at(0, h, bottom)
+        u1, v1 = at(pr - sr, w, right), at(pr - sr, h, bottom)
+        uc, vc = at(pr, w, right), at(pr, h, bottom)
+        template = img[vc - pr: vc + pr + 1, uc - pr: uc + pr + 1]
+        # the corner's patch with the image's edge continued outward: a
+        # window that leaves the image must not match even this
+        edged = np.pad(img, pr, mode="edge")[v0: v0 + 2 * pr + 1, u0: u0 + 2 * pr + 1]
+        points = np.array([[u0, v0], [u1, v1]], dtype=float)
+        hits, matched = match_like_reference(
+            img, np.array([edged, template]), points,
+            dataclasses.replace(params, search_radius=sr))
+        assert list(matched) == [False, True]
+        assert tuple(hits[1]) == (uc, vc)
 
     def test_step_lengths_are_math_hypot(self):
         # np.hypot differs from math.hypot in the last bit on a few of
