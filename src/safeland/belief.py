@@ -10,7 +10,8 @@ Association runs on ground-projected footprints (greedy best-IoU), so
 camera motion does not break track identity. A footprint is its
 region's sorted unique ground-cell keys, as ``perception`` forms them;
 the IoU reads only their sizes and intersections. Weights, likelihood
-scales, the floor and the persistence factor are read from ``Params``.
+scales, the floor and the persistence factor are read from ``Params``;
+the IoU threshold and the retirement grace are module constants.
 """
 from __future__ import annotations
 
@@ -21,6 +22,9 @@ import numpy as np
 
 from .params import Params
 from .perception import CueVector, RegionMask
+
+_IOU_MIN = 0.3     # ground-footprint IoU required for a match
+_TRACK_GRACE = 5   # frames a track survives unmatched
 
 
 def cue_likelihood(x: float, sigma: float, eps_l: float) -> float:
@@ -109,9 +113,9 @@ def associate(tracks: list[RegionTrack], regions: list[RegionMask], params: Para
               *, next_id: int) -> AssociationResult:
     """Greedy best-IoU matching of current regions onto existing tracks.
 
-    Pairs match at IoU ``params.iou_min`` or more. Unmatched regions spawn
+    Pairs match at IoU ``_IOU_MIN`` or more. Unmatched regions spawn
     fresh tracks at the initial belief ``params.b0``; tracks unmatched for
-    more than ``params.track_grace`` consecutive frames retire.
+    more than ``_TRACK_GRACE`` consecutive frames retire.
     """
     n_t, n_r = len(tracks), len(regions)
     iou = _iou_matrix([track.mask.ground_footprint for track in tracks],
@@ -123,7 +127,7 @@ def associate(tracks: list[RegionTrack], regions: list[RegionMask], params: Para
     while n_t and n_r:
         masked = np.where(used_t[:, None] | used_r[None, :], -1.0, iou)
         i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        if masked[i, j] < params.iou_min:
+        if masked[i, j] < _IOU_MIN:
             break
         used_t[i] = used_r[j] = True
         track, region = tracks[i], regions[j]
@@ -135,7 +139,7 @@ def associate(tracks: list[RegionTrack], regions: list[RegionMask], params: Para
     for i, track in enumerate(tracks):
         if not used_t[i]:
             track.misses += 1
-            if track.misses > params.track_grace:
+            if track.misses > _TRACK_GRACE:
                 continue
         survivors.append(track)
 

@@ -210,8 +210,8 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         scenario = load_scenario(config.scenario_path)
-    except FileNotFoundError:
-        print(f"i/o error: scenario file not found: {args.scenario}", file=sys.stderr)
+    except OSError as exc:  # missing, unreadable, or not a file
+        print(f"i/o error: scenario: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:  # malformed yaml or bad fields
         print(f"config error: scenario: {exc}", file=sys.stderr)

@@ -5,10 +5,13 @@ The core symbols (alpha, tau, rho_min, w_f/w_s/w_o, lambda, f_s, b0,
 v_xy_max, v_z_max) use the same names in config files and ``--set``
 overrides so a run can be reproduced from its summary line alone.
 
-A number is a field of ``Params`` when it is one of the paper's
-symbols, a model parameter of the likelihood, screening or control law,
-set by a caller outside the package (the bench, the README or a test),
-or planned to be varied by an open ROADMAP item. Every other number is
+A number is a field of ``Params`` when it is one of the paper's symbols,
+a model parameter (the likelihood floor, the cue and likelihood scales,
+the screening thresholds ``v_max`` and ``g_max``, the descent rate
+``v_des``), a number that the two bench workloads run at different
+values (``f_max``), or one that an open ROADMAP item varies
+(``search_radius``). A test is not a caller: a test that needs another
+value patches the module constant for that case. Every other number is
 an implementation constant, a module constant beside its one reader.
 
 Every numeric field of ``Params`` and of the scenario dataclasses in
@@ -105,30 +108,18 @@ class Params:
     d_scale: float = ranged(0.5, gt=0.0)  # m, obstacle-distance scale in the proximity score
 
     # region screening
-    screen_k: int = ranged(5, ge=3)                # px, window for local height statistics
     v_max: float = ranged(0.03, gt=0.0)            # m, max height std inside the window
     g_max: float = ranged(0.10, gt=0.0)            # m/px, max depth gradient magnitude
-    a_min: int = ranged(100, ge=1)                 # px, minimum region area
-    max_invalid_frac: float = ranged(0.30, ge=0.0, lt=1.0)
-
-    # association
-    iou_min: float = ranged(0.3, gt=0.0, lt=1.0)   # ground-footprint IoU required for a match
-    track_grace: int = ranged(5, ge=0)             # frames a track survives unmatched
 
     # servo / control
     lam: float = ranged(0.8, gt=0.0)               # servo gain (config symbol: lambda)
     v_xy_max: float = ranged(0.25, gt=0.0)         # m/s, lateral speed limit
     v_z_max: float = ranged(0.30, gt=0.0)          # m/s, vertical speed limit
-    e_align: float = ranged(0.05, gt=0.0)  # normalized image error below which descent engages
     v_des: float = ranged(0.2, gt=0.0)             # m/s, gated descent rate
-    n_min: int = ranged(8, ge=1)                   # re-detect features below this count
     search_radius: int = ranged(10, ge=1)          # px, match search half-window (21x21)
-    # refresh templates after this relative depth change
-    retemplate_ratio: float = ranged(0.25, gt=0.0, lt=1.0)
 
     # vehicle / episode
     f_max: int = ranged(300, ge=1)                 # scan frames before timeout
-    f_max_exec: int = ranged(2000, ge=1)           # hard cap on execution frames
 
     def __post_init__(self) -> None:
         validate(self)

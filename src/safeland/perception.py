@@ -53,6 +53,9 @@ from .selector import distance_sq_to
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=int)
 _ASSOC_RES = 0.10  # m, ground-cell size of a region's footprint
 _OBSTACLE_K = 9    # region pixels nearest the centroid that the proximity cue reads
+_SCREEN_K = 5      # px, window of the local height statistics
+_A_MIN = 100       # px, smallest region kept
+_MAX_INVALID_FRAC = 0.30  # largest share of invalid pixels in a kept region
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ class CueVector:
 
 def screen_frame(frame: DepthFrame, params: Params) -> ScreenResult:
     valid = frame.valid
-    k = params.screen_k
+    k = _SCREEN_K
     hz = np.where(valid, frame.camera.position[2] - frame.depth, 0.0)
     vf = valid.astype(float)
 
@@ -160,11 +163,8 @@ def _masked_gradient(d: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(central), np.where(np.isnan(nxt), d - prev, nxt - d), central)
 
 
-def extract_regions(frame: DepthFrame, params: Params,
-                    screen: ScreenResult | None = None) -> list[RegionMask]:
-    """Screened 4-connected components with area >= a_min, largest first."""
-    if screen is None:
-        screen = screen_frame(frame, params)
+def extract_regions(frame: DepthFrame, screen: ScreenResult) -> list[RegionMask]:
+    """The frame's screened 4-connected components of at least ``_A_MIN`` px, largest first."""
     candidate = screen.pass_mask | ~frame.valid
     labels, _ = ndimage.label(candidate, structure=_FOUR_CONNECTED)
     regions: list[RegionMask] = []
@@ -173,13 +173,13 @@ def extract_regions(frame: DepthFrame, params: Params,
     areas = np.bincount(labels.ravel())
     areas[0] = 0   # the background
     boxes = ndimage.find_objects(labels)
-    for lab in np.flatnonzero(areas >= params.a_min):
+    for lab in np.flatnonzero(areas >= _A_MIN):
         box = boxes[lab - 1]   # every pixel of the region lies in its bounding box
         comp = labels[box] == lab
         area = int(areas[lab])
         comp_valid = comp & frame.valid[box]
         n_valid = int(comp_valid.sum())
-        if 1.0 - n_valid / area > params.max_invalid_frac:
+        if 1.0 - n_valid / area > _MAX_INVALID_FRAC:
             continue
         vs, us = np.nonzero(comp)
         centroid = (float((us + box[1].start).mean()), float((vs + box[0].start).mean()))

@@ -4,9 +4,9 @@ The tracker is deliberately simple: corner candidates are local maxima
 of windowed intensity variance, matched by minimum patch SSD inside a
 bounded search window (the template is pre-warped by the known relative
 depth change, and a gradient-based sub-pixel refinement follows when the
-best match is not exact). Templates refresh only after a meaningful
-depth change or a re-detection, so a static camera over a static scene
-tracks with exactly zero drift.
+best match is not exact). Templates refresh only after a re-detection
+or a relative depth change over ``_RETEMPLATE_RATIO``, so a static
+camera over a static scene tracks with exactly zero drift.
 
 Matching is batched over the whole feature set: one SSD over every
 point's full search window, gathered in blocks of a few points to bound
@@ -22,11 +22,12 @@ centroid by default), propagated by the common scale-and-shift motion
 of the surviving points. Servoing on the anchor keeps the error signal
 continuous when individual points drop out or new ones are detected.
 
-The control law maps the normalized image error of the anchor through the
-pseudoinverse of the point interaction matrix; its gain, speed limits
-and descent gate are read from ``Params``. The emitted command's lateral
-components live in camera axes (image right / image down); the vertical
-component is up-positive, so descent is a negative ``vz``.
+The control law maps the normalized image error of the anchor through
+the pseudoinverse of the point interaction matrix; its gain, speed
+limits and descent rate are read from ``Params``, and descent engages
+under the error ``_E_ALIGN``. The emitted command's lateral components
+live in camera axes (image right / image down); the vertical component
+is up-positive, so descent is a negative ``vz``.
 """
 from __future__ import annotations
 
@@ -48,6 +49,10 @@ _PATCH_RADIUS = 4         # px, template half-size (9x9 patches)
 _N_MAX = 40               # feature budget
 _COMMIT_WINDOW_PX = 24    # px, detection radius around the committed center
 _MSE_MAX = 0.005          # per-pixel SSD threshold for accepting a match
+_MARGIN = _PATCH_RADIUS + 3  # px, border that detection and the tracked points keep
+_N_MIN = 8                # re-detect features below this count
+_RETEMPLATE_RATIO = 0.25  # refresh templates after this relative depth change
+_E_ALIGN = 0.05           # normalized image error below which descent engages
 
 
 @dataclass
@@ -68,11 +73,10 @@ def _variance_score(intensity: np.ndarray) -> np.ndarray:
     return np.clip(mean_sq - mean * mean, 0.0, None)
 
 
-def detect_features(intensity: np.ndarray, allowed: np.ndarray, *,
-                    n_max: int, margin: int) -> np.ndarray:
-    """Top corner candidates at least ``margin`` px inside the image, as (N, 2) integer (u, v)."""
+def detect_features(intensity: np.ndarray, allowed: np.ndarray) -> np.ndarray:
+    """The top ``_N_MAX`` corners ``_MARGIN`` px or more inside the image, as (N, 2) int (u, v)."""
     score = _variance_score(intensity)
-    inner = (slice(margin, -margin),) * 2
+    inner = (slice(_MARGIN, -_MARGIN),) * 2
     ok = np.zeros_like(allowed)
     ok[inner] = allowed[inner]
     local_max = ndimage.maximum_filter(score, size=2 * _NMS_RADIUS + 1,
@@ -81,7 +85,7 @@ def detect_features(intensity: np.ndarray, allowed: np.ndarray, *,
     vs, us = np.nonzero(cand)
     if vs.size == 0:
         return np.zeros((0, 2), dtype=np.int64)
-    order = np.lexsort((us, vs, -score[vs, us]))[:n_max]
+    order = np.lexsort((us, vs, -score[vs, us]))[:_N_MAX]
     return np.stack([us[order], vs[order]], axis=1).astype(np.int64)
 
 
@@ -248,13 +252,12 @@ def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
     A returned set with ``n_t == 0`` is the tracking-lost signal. On
     initialization, detection is restricted to ``region_mask``; on later
     frames the mask bounds re-detection, which triggers whenever the
-    population falls under ``n_min`` and searches a disk around the anchor.
+    population falls under ``_N_MIN`` and searches a disk around the anchor.
     ``z_now`` is the current region depth, finite and positive.
     """
     pr = _PATCH_RADIUS
-    margin = pr + 3
     if previous is None:
-        pts = detect_features(intensity, region_mask, n_max=_N_MAX, margin=margin)
+        pts = detect_features(intensity, region_mask)
         ptsf = pts.astype(float)
         anchor = ptsf.mean(axis=0) if len(ptsf) else np.zeros(2)
         return FeatureSet(points=ptsf, patches=_sample_patches(intensity, ptsf, pr),
@@ -265,12 +268,11 @@ def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
     # one of cluttered seeds 0-39 aborts, and the worst touchdown error is 0.27 m)
     scale = float(np.clip(previous.ref_z / z_now, 0.6, 1.8))
 
-    h_img, w_img = intensity.shape
-    border = float(margin)  # cull points before border clipping degrades their matches
     hits, matched = _match_points(intensity, _warp_template(previous.patches, scale),
                                   previous.points, params.search_radius, pr, _MSE_MAX)
-    keep = (matched & (border <= hits[:, 0]) & (hits[:, 0] <= w_img - 1 - border)
-            & (border <= hits[:, 1]) & (hits[:, 1] <= h_img - 1 - border))
+    # cull points before border clipping degrades their matches
+    inside = (_MARGIN <= hits) & (hits <= np.array(intensity.shape[::-1]) - 1 - _MARGIN)
+    keep = matched & inside.all(axis=1)
     prev_pts, new_pts = previous.points[keep], hits[keep]
     anchor = _similarity_step(prev_pts, new_pts, previous.anchor_px)
     patches = previous.patches[keep]
@@ -279,14 +281,14 @@ def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
     # refresh templates after a meaningful depth (scale) change or a
     # re-detection; stored positions snap to the new patch centers so no
     # false motion enters the anchor on the next frame
-    refresh = bool(new_pts.shape[0]) and abs(z_now / ref_z - 1.0) > params.retemplate_ratio
+    refresh = bool(new_pts.shape[0]) and abs(z_now / ref_z - 1.0) > _RETEMPLATE_RATIO
     if refresh:
         new_pts = np.round(new_pts)
 
-    if new_pts.shape[0] < params.n_min:
+    if new_pts.shape[0] < _N_MIN:
         radius = max(2 * _COMMIT_WINDOW_PX, 2 * params.search_radius)
         allowed = _disk(intensity.shape, anchor, radius) & region_mask
-        fresh = detect_features(intensity, allowed, n_max=_N_MAX, margin=margin).astype(float)
+        fresh = detect_features(intensity, allowed).astype(float)
         if new_pts.shape[0]:
             d2 = ((fresh[:, None, :] - new_pts[None, :, :]) ** 2).sum(axis=2)
             fresh = fresh[d2.min(axis=1) > (2.0 * pr) ** 2]
@@ -296,7 +298,7 @@ def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
             new_pts = np.vstack([new_pts, fresh[: _N_MAX - new_pts.shape[0]]])
             refresh = True
 
-    # the border cull and detection both keep every point ``margin`` px inside
+    # the border cull and detection both keep every point ``_MARGIN`` px inside
     if refresh:
         new_pts = np.round(new_pts)
         patches = _sample_patches(intensity, new_pts, pr)
@@ -377,7 +379,7 @@ def control(s, z: float, params: Params) -> VelocityCommand:
     if not np.all(np.isfinite(v_raw)):
         return HOVER
     vz = -float(v_raw[2])  # optical-axis forward -> up-positive
-    if float(np.hypot(e[0], e[1])) < params.e_align:
+    if float(np.hypot(e[0], e[1])) < _E_ALIGN:
         vz = -params.v_des
     vx, vy = float(v_raw[0]), float(v_raw[1])
     lat = math.hypot(vx, vy)

@@ -4,17 +4,18 @@ An episode is a pure function of (scenario, params, seed). The scan
 phase flies a lawnmower pattern at constant altitude while beliefs
 accumulate; once a feasible track crosses the commit threshold the
 selector is never re-entered and the terminal phase servos the vehicle
-over the committed center and descends. Tracking loss beyond the grace
-window aborts to hover. A scan that flies into an obstacle taller than
-the scan altitude ends the episode as crashed. Both phases take each
-frame from one sense step (render, then corrupt) and read the run's
-parameters from ``Params``. A track's feasibility and centre are those of the
-region it holds, measured once when the region was extracted; the
+over the committed center and descends. Losing every feature for more
+than ``_LOSS_GRACE`` frames aborts to hover, and execution times out
+after ``_F_MAX_EXEC`` frames. A scan that flies into an obstacle taller
+than the scan altitude ends the episode as crashed. Both phases take
+each frame from one sense step (render, then corrupt) and read the run's
+parameters from ``Params``. A track's feasibility and centre are those
+of the region it holds, measured once when the region was extracted; the
 selector returns the winning track itself, and the commit and the
-terminal phase read its centre and radius from that region; the
-tracker (``servo.acquire``, then ``servo.detect_and_track``) locks onto
-the centre's projection. Touchdown is tested against the surface under
-the vehicle, box tops included.
+terminal phase read its centre and radius from that region; the tracker
+(``servo.acquire``, then ``servo.detect_and_track``) locks onto the
+centre's projection. Touchdown is tested against the surface under the
+vehicle, box tops included.
 
 Vehicle motion is kinematic: a first-order velocity response with time
 constant ``_T_V`` followed by Euler position integration. Commands from
@@ -94,6 +95,8 @@ _SCAN_OVERLAP = 0.5    # fraction of the camera swath shared by adjacent rows
 _WAYPOINT_REACH = 0.2  # m, distance at which a waypoint counts as reached
 _T_V = 0.5             # s, time constant of the vehicle's velocity response
 _H_TD = 0.05           # m, height over the surface that counts as touchdown
+_F_MAX_EXEC = 2000     # execution frames before timeout
+_LOSS_GRACE = 5        # featureless frames in a row that execution hovers through
 
 
 def lawnmower_waypoints(extent: tuple[float, float], altitude: float,
@@ -191,7 +194,7 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
             return None
         frame = _sense(scenario, world, state, rng)
         screen = per.screen_frame(frame, params)
-        regions = per.extract_regions(frame, params, screen=screen)
+        regions = per.extract_regions(frame, screen)
         assoc = bel.associate(tracks, regions, params, next_id=next_id)
         tracks, next_id = assoc.tracks, assoc.next_id
 
@@ -269,7 +272,7 @@ def _execute(scenario: Scenario, params: Params, world: World,
 
     z_t = fs.ref_z
     lost = 0
-    for k in range(params.f_max_exec):
+    for k in range(_F_MAX_EXEC):
         t = start_t + k
         if k > 0:  # frame 0 is the one the features were detected on
             frame = _sense(scenario, world, state, rng)
@@ -301,7 +304,7 @@ def _execute(scenario: Scenario, params: Params, world: World,
             observer("exec_frame", {"t": t, "frame": frame, "features": fs,
                                     "cmd": cmd, "s": s_virtual, "z": z_t})
 
-        if lost > params.track_grace:
+        if lost > _LOSS_GRACE:
             result.outcome = "aborted"
             return
 

@@ -19,7 +19,7 @@ from safeland.params import Params
 from safeland.scene import load_scenario
 from safeland.selector import (FeasibilityResult, inscribed_distance_sq,
                                select)
-from safeland.servo import ibvs_velocity, interaction_matrix
+from safeland.servo import _E_ALIGN, ibvs_velocity, interaction_matrix
 from safeland.simloop import _H_TD, run_episode
 
 import oracles
@@ -176,7 +176,7 @@ def test_06_closed_loop_flat_landing():
 
     errors = [r["e_norm"] for r in exec_rows]
     gate = next(i for i, e in enumerate(errors)
-                if e is not None and e < params.e_align)
+                if e is not None and e < _E_ALIGN)
     lam_dt = params.lam / params.f_s
     contraction = 1.0 - lam_dt * (1.0 - 0.05)
     for k in range(5, gate):
@@ -191,7 +191,7 @@ def test_06_closed_loop_flat_landing():
         if errors[k] is None or exec_rows[k]["depth_z"] is None:
             continue
         if exec_rows[k]["depth_z"] > 4 * _H_TD:
-            assert errors[k] <= 2 * params.e_align
+            assert errors[k] <= 2 * _E_ALIGN
     assert elapsed < 10.0, f"closed-loop run took {elapsed:.2f}s"
     _report("06 closed-loop-landing (<0.05 m, bounded commands, error decay, <10s)")
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safeland.belief import (RegionTrack, _iou_matrix, associate, cue_likelihood,
-                             likelihoods, predict, step, update)
+from safeland.belief import (_IOU_MIN, _TRACK_GRACE, RegionTrack, _iou_matrix, associate,
+                             cue_likelihood, likelihoods, predict, step, update)
 from safeland.params import Params
 from safeland.perception import CueVector, RegionMask
 
@@ -165,7 +165,7 @@ def square_cells(x0: float, y0: float, side: float, res: float = 0.1) -> np.ndar
     return oracles.footprint_keys(np.stack([ii.ravel(), jj.ravel()], axis=1))
 
 
-ASSOC = Params(b0=0.5, iou_min=0.3, track_grace=5)
+ASSOC = Params(b0=0.5)
 
 
 class TestAssociation:
@@ -222,12 +222,33 @@ class TestAssociation:
         cells = square_cells(0.0, 0.0, 1.0)
         track = RegionTrack(id=0, mask=region_with_cells(cells), belief=0.8)
         tracks = [track]
-        for _ in range(5):
+        for _ in range(_TRACK_GRACE):
             result = associate(tracks, [], ASSOC, next_id=1)
             tracks = result.tracks
             assert len(tracks) == 1
         result = associate(tracks, [], ASSOC, next_id=1)
         assert result.tracks == []
+
+    # two 13-cell rows overlapping in k cells: IoU k / (26 - k)
+    @pytest.mark.parametrize("overlap", [5, 6, 7], ids=["below", "at", "above"])
+    def test_match_threshold_is_inclusive(self, overlap):
+        a = oracles.footprint_keys([(i, 0) for i in range(13)])
+        b = oracles.footprint_keys([(i, 0) for i in range(13 - overlap, 26 - overlap)])
+        iou = oracles.footprint_iou(a, b)
+        assert iou == overlap / (26 - overlap)
+        track = RegionTrack(id=0, mask=region_with_cells(a), belief=0.7)
+        result = associate([track], [region_with_cells(b)], ASSOC, next_id=1)
+        assert ([t.id for t, _ in result.matches] == [0]) == (iou >= _IOU_MIN)
+        assert (overlap >= 6) == (iou >= _IOU_MIN)
+
+    def test_match_resets_the_miss_count(self):
+        cells = square_cells(0.0, 0.0, 1.0)
+        tracks = [RegionTrack(id=0, mask=region_with_cells(cells), belief=0.8)]
+        for regions in ([[]] * _TRACK_GRACE + [[region_with_cells(cells)]]
+                        + [[]] * _TRACK_GRACE):
+            tracks = associate(tracks, regions, ASSOC, next_id=1).tracks
+            assert [t.id for t in tracks] == [0]
+        assert associate(tracks, [], ASSOC, next_id=1).tracks == []
 
     def test_greedy_prefers_highest_iou(self):
         a = square_cells(0.0, 0.0, 1.0)

@@ -79,7 +79,8 @@ class TestParsing:
     # `bogus`, then implementation constants that are not fields
     @pytest.mark.parametrize("name", [
         "bogus", "sigma_f_cue", "obstacle_k", "assoc_res", "n_max", "patch_radius",
-        "commit_window_px", "mse_max", "t_v", "h_td"])
+        "commit_window_px", "mse_max", "t_v", "h_td", "f_max_exec", "screen_k", "a_min",
+        "max_invalid_frac", "iou_min", "track_grace", "n_min", "retemplate_ratio", "e_align"])
     def test_unknown_symbol_rejected(self, name):
         with pytest.raises(ConfigError, match="unknown parameter"):
             apply_overrides(Params(), {name: "1"})
@@ -119,9 +120,12 @@ class TestMain:
         assert capsys.readouterr().err.startswith("config error: unknown parameter 'patch_radius'")
         assert not (tmp_path / "out").exists()
 
-    def test_missing_scenario_is_io_error(self, tmp_path, capsys):
-        code = main([str(tmp_path / "nope.yaml"), "--out", str(tmp_path)])
+    @pytest.mark.parametrize("path", ["nope.yaml", "."], ids=["missing", "directory"])
+    def test_missing_scenario_is_io_error(self, tmp_path, capsys, path):
+        code = main([str(tmp_path / path), "--out", str(tmp_path / "out")])
         assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: scenario:") and "Traceback" not in err
 
     def test_output_path_that_is_a_file_is_io_error_before_any_episode(
             self, tmp_path, capsys, monkeypatch):

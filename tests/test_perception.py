@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from safeland import perception
 from safeland.perception import (_ASSOC_RES, CueVector, PlaneFit, RegionMask,
                                  _screen_result, compute_cues, extract_regions, fit_plane,
                                  screen_frame, tls_plane)
@@ -69,10 +71,10 @@ class TestScreenFrame:
     def test_pass_mask_equals_the_per_pixel_rules(self, params, case):
         depth, valid, k = case
         frame = synthetic_frame(depth, valid=valid)
-        p = dataclasses.replace(params, screen_k=k)
-        got = screen_frame(frame, p).pass_mask
+        with mock.patch.object(perception, "_SCREEN_K", k):
+            got = screen_frame(frame, params).pass_mask
         want, near = oracles.screen_pass_mask(depth, valid, frame.camera.position[2],
-                                              k, p.v_max, p.g_max)
+                                              k, params.v_max, params.g_max)
         assert np.array_equal(got[~near], want[~near])
 
 
@@ -80,7 +82,7 @@ class TestExtractRegions:
     def test_flat_frame_yields_single_region_of_all_valid_pixels(self, params):
         world = build_world(make_flat_scenario())
         frame = render_true_depth(world, CameraModel(96, 72, 72.0, [3.0, 2.5, 2.2]))
-        regions = extract_regions(frame, params)
+        regions = extract_regions(frame, screen_frame(frame, params))
         assert len(regions) == 1
         assert regions[0].area_px == int(frame.valid.sum())
         assert np.array_equal(regions[0].pixels, frame.valid)
@@ -90,7 +92,7 @@ class TestExtractRegions:
             Box(center=(4.5, 3.5), extents=(0.2, 7.0), height=1.0),))
         world = build_world(sc)
         frame = render_true_depth(world, CameraModel(96, 72, 72.0, [4.5, 3.5, 5.0]))
-        regions = extract_regions(frame, params)
+        regions = extract_regions(frame, screen_frame(frame, params))
         assert len(regions) == 2
         # each reported region is one 4-connected component of the oracle
         for region in regions:
@@ -100,7 +102,7 @@ class TestExtractRegions:
     @pytest.mark.parametrize("name", ["flat", "cluttered", "undersized"])
     def test_footprint_is_the_cells_of_its_ground_points(self, params, episode_frames, name):
         for frame in episode_frames[name][1]:
-            for region in extract_regions(frame, params):
+            for region in extract_regions(frame, screen_frame(frame, params)):
                 sel = region.pixels & frame.valid
                 vs, us = np.nonzero(sel)
                 ground = oracles.backproject(frame.camera, us, vs, frame.depth[sel])[:, :2]
@@ -111,7 +113,7 @@ class TestExtractRegions:
     def test_all_invalid_frame_yields_empty_list(self, params):
         depth = np.full((72, 96), 5.0)
         frame = synthetic_frame(depth, valid=np.zeros_like(depth, dtype=bool))
-        assert extract_regions(frame, params) == []
+        assert extract_regions(frame, screen_frame(frame, params)) == []
 
     def test_regions_disjoint_and_four_connected(self, params):
         sc = Scenario(terrain="rough", extent=(9.0, 7.0), texture_seed=3,
@@ -120,7 +122,7 @@ class TestExtractRegions:
                           Box(center=(6.2, 2.0), extents=(0.7, 0.7), height=0.9),))
         world = build_world(sc)
         frame = render_true_depth(world, CameraModel(96, 72, 72.0, [4.5, 3.5, 5.0]))
-        regions = extract_regions(frame, params)
+        regions = extract_regions(frame, screen_frame(frame, params))
         occupancy = np.zeros(frame.depth.shape, dtype=int)
         for region in regions:
             occupancy += region.pixels
@@ -136,7 +138,7 @@ class TestExtractRegions:
         valid &= ~holes
         holey = dataclasses.replace(frame, valid=valid,
                                     depth=np.where(valid, frame.depth, 0.0))
-        regions = extract_regions(holey, params)
+        regions = extract_regions(holey, screen_frame(holey, params))
         assert len(regions) == 1
         # interior dropped pixels stay inside the mask so clearance isn't punctured
         interior = np.zeros_like(holes)
@@ -151,14 +153,14 @@ class TestExtractRegions:
         valid &= rng.random(valid.shape) > 0.5
         holey = dataclasses.replace(frame, valid=valid,
                                     depth=np.where(valid, frame.depth, 0.0))
-        assert extract_regions(holey, params) == []
+        assert extract_regions(holey, screen_frame(holey, params)) == []
 
     def test_sorted_by_area_descending(self, params):
         sc = make_flat_scenario(extent=(9.0, 7.0), obstacles=(
             Box(center=(3.0, 3.5), extents=(0.2, 7.0), height=1.0),))
         world = build_world(sc)
         frame = render_true_depth(world, CameraModel(96, 72, 72.0, [4.5, 3.5, 5.0]))
-        regions = extract_regions(frame, params)
+        regions = extract_regions(frame, screen_frame(frame, params))
         areas = [r.area_px for r in regions]
         assert areas == sorted(areas, reverse=True)
 
@@ -167,11 +169,14 @@ class TestExtractRegions:
             Box(center=(3.0, 3.5), extents=(0.2, 7.0), height=1.0),))
         frame = render_true_depth(build_world(sc),
                                   CameraModel(96, 72, 72.0, [4.5, 3.5, 5.0]))
-        areas = [r.area_px for r in extract_regions(frame, params)]
+        screen = screen_frame(frame, params)
+        areas = [r.area_px for r in extract_regions(frame, screen)]
         smallest = areas[-1]
-        at_min = extract_regions(frame, dataclasses.replace(params, a_min=smallest))
+        with mock.patch.object(perception, "_A_MIN", smallest):
+            at_min = extract_regions(frame, screen)
         assert [r.area_px for r in at_min] == areas
-        above_min = extract_regions(frame, dataclasses.replace(params, a_min=smallest + 1))
+        with mock.patch.object(perception, "_A_MIN", smallest + 1):
+            above_min = extract_regions(frame, screen)
         assert [r.area_px for r in above_min] == [a for a in areas if a > smallest]
 
 
@@ -204,13 +209,13 @@ class TestClearance:
     @example(case=(screened("....", "..x.", "...."), 1, 0.3))
     @example(case=(screened(".", ".", "#", ".", "x", "."), 1, 0.9))
     @example(case=(screened(".#..x..#."), 1, 0.9))
-    def test_equals_per_mask_transform(self, params, case):
+    def test_equals_per_mask_transform(self, case):
         classes, a_min, max_invalid_frac = case
         valid, passing = classes != 2, classes == 0
         frame = synthetic_frame(np.full(classes.shape, 5.0), valid=valid)
-        regions = extract_regions(
-            frame, dataclasses.replace(params, a_min=a_min, max_invalid_frac=max_invalid_frac),
-            screen=_screen_result(passing, valid))
+        with mock.patch.object(perception, "_A_MIN", a_min), \
+                mock.patch.object(perception, "_MAX_INVALID_FRAC", max_invalid_frac):
+            regions = extract_regions(frame, _screen_result(passing, valid))
         for region in regions:
             mask = region.pixels
             per_mask = inscribed_distance_sq(mask)
@@ -274,7 +279,7 @@ class TestFitPlane:
     @pytest.mark.parametrize("name", ["flat", "cluttered", "undersized"])
     def test_region_box_equals_its_full_frame_mask(self, params, episode_frames, name):
         for frame in episode_frames[name][1]:
-            for region in extract_regions(frame, params):
+            for region in extract_regions(frame, screen_frame(frame, params)):
                 # camera-frame points back-projected from the full-frame mask
                 sel = region.pixels & frame.valid
                 vs, us = np.nonzero(sel)
@@ -306,8 +311,8 @@ def oracle_distance_px(obstacle: np.ndarray) -> np.ndarray:
 
 
 class TestComputeCues:
-    def _region_for(self, frame, params):
-        regions = extract_regions(frame, params)
+    def _region_for(self, frame, screen):
+        regions = extract_regions(frame, screen)
         assert regions
         return regions[0]
 
@@ -315,7 +320,7 @@ class TestComputeCues:
         world = build_world(make_flat_scenario())
         frame = render_true_depth(world, CameraModel(96, 72, 72.0, [3.0, 2.5, 2.2]))
         screen = screen_frame(frame, params)
-        region = self._region_for(frame, params)
+        region = self._region_for(frame, screen)
         fit = fit_plane(frame, region)
         cues = compute_cues(frame, region, fit,
                             oracle_distance_px(screen.obstacle_mask), params)
@@ -329,7 +334,7 @@ class TestComputeCues:
         world = build_world(sc)
         frame = render_true_depth(world, CameraModel(96, 72, 72.0, [4.5, 3.5, 4.0]))
         screen = screen_frame(frame, params)
-        region = self._region_for(frame, params)
+        region = self._region_for(frame, screen)
         fit = fit_plane(frame, region)
         cues = compute_cues(frame, region, fit,
                             oracle_distance_px(screen.obstacle_mask), params)

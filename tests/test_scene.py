@@ -378,6 +378,18 @@ class TestDomains:
         with pytest.raises(ConfigError, match=rf"^{re.escape(name)}="):
             make()
 
+    # every real-valued field of the scenario dataclasses; a tuple's first element
+    @pytest.mark.parametrize("base, f", [
+        pytest.param(base, f, id=f"{type(base).__name__}-{f.name}")
+        for base in (Scenario(), NoiseModel(), Box((1.0, 1.0), (1.0, 1.0), 1.0),
+                     FlatPatch(center=(1.0, 1.0)))
+        for f in dataclasses.fields(base) if "domain" in f.metadata and f.type != "int"])
+    def test_nan_names_the_field(self, base, f):
+        pair = f.type.startswith("tuple")
+        value, shown = ((math.nan, 1.0), f"{f.name}[0]") if pair else (math.nan, f.name)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(shown)}=nan outside domain"):
+            dataclasses.replace(base, **{f.name: value})
+
     def test_float_field_takes_an_int(self):
         assert Scenario(altitude=3, extent=(9, 7)).altitude == 3
         assert validate(Params(alpha=0.9, f_s=20)).f_s == 20

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import safeland.selector as sel_mod
+import safeland.simloop as simloop_mod
+from safeland import servo
 from safeland.params import Params
 from safeland.scene import Box, CameraModel, NoiseModel, Scenario, load_scenario
 from safeland.servo import HOVER, VelocityCommand
-from safeland.simloop import (VehicleState, command_to_world,
+from safeland.simloop import (_LOSS_GRACE, VehicleState, command_to_world,
                               lawnmower_waypoints, make_camera, run_episode,
                               step_vehicle_world)
 
@@ -161,7 +164,8 @@ class TestEpisode:
                 assert data["mask"] is track.mask
                 committed.append((track.mask.center.copy(), track.mask.rho, track.belief))
 
-        result = run_episode(scenario, Params(f_max_exec=5), seed=0, observer=observer)
+        with mock.patch.object(simloop_mod, "_F_MAX_EXEC", 5):
+            result = run_episode(scenario, Params(), seed=0, observer=observer)
         assert len(committed) == 1
         center, rho, belief = committed[0]
         assert result.commit_center == (center[0], center[1])
@@ -232,7 +236,6 @@ class TestEpisode:
             assert set(row.keys()) == set(TELEMETRY_FIELDS)
 
     def test_textureless_world_aborts_to_hover(self, monkeypatch):
-        import safeland.simloop as simloop_mod
         scenario = make_flat_scenario()
         real_build = simloop_mod.build_world
 
@@ -251,6 +254,70 @@ class TestEpisode:
         assert last["phase"] == "exec" and last["t"] == result.frames_total - 1
         assert (last["cmd_vx"], last["cmd_vy"], last["cmd_vz"]) == (0.0, 0.0, 0.0)
         assert last["n_features"] == 0 and last["depth_z"] is None
+
+
+def lose_features(monkeypatch, first: int, frames: int) -> None:
+    """The tracker reports no feature on ``frames`` tracked frames from the
+    ``first``-th on (acquisition's detection is not one), keeping the
+    anchor it would have carried; the loop reaches it through ``servo``."""
+    real = servo.detect_and_track
+    tracked = [0]
+
+    def track(intensity, region_mask, previous, params, *, z_now):
+        fs = real(intensity, region_mask, previous, params, z_now=z_now)
+        if previous is None:
+            return fs
+        tracked[0] += 1
+        if first <= tracked[0] < first + frames:
+            return dataclasses.replace(fs, points=fs.points[:0], patches=fs.patches[:0])
+        return fs
+
+    monkeypatch.setattr(servo, "detect_and_track", track)
+
+
+class TestLossGrace:
+    """Execution frame k > 0 is the k-th tracked frame; frame 60 of the flat
+    episode is mid-descent, at about 1.4 m."""
+
+    FIRST = 60
+
+    def exec_rows(self, monkeypatch, frames):
+        lose_features(monkeypatch, self.FIRST, frames)
+        result = run_episode(make_flat_scenario(), Params(f_max=50), seed=0)
+        return result, [row for row in result.telemetry if row["phase"] == "exec"]
+
+    @staticmethod
+    def hovers_without_features(row) -> bool:
+        return ((row["cmd_vx"], row["cmd_vy"], row["cmd_vz"]) == (0.0, 0.0, 0.0)
+                and row["n_features"] == 0)
+
+    def test_loss_of_the_grace_hovers_then_recovers(self, monkeypatch):
+        result, rows = self.exec_rows(monkeypatch, _LOSS_GRACE)
+        lost = rows[self.FIRST: self.FIRST + _LOSS_GRACE]
+        assert all(map(self.hovers_without_features, lost))
+        assert rows[self.FIRST - 1]["n_features"] > 0
+        # re-detection around the anchor on the next frame
+        assert rows[self.FIRST + _LOSS_GRACE]["n_features"] > 0
+        assert result.outcome == "landed"
+
+    def test_loss_beyond_the_grace_aborts(self, monkeypatch):
+        frames = _LOSS_GRACE + 1
+        result, rows = self.exec_rows(monkeypatch, frames)
+        assert result.outcome == "aborted" and result.touchdown_error is None
+        assert len(rows) == self.FIRST + frames
+        assert all(map(self.hovers_without_features, rows[-frames:]))
+        assert not self.hovers_without_features(rows[-frames - 1])
+
+
+class TestExecutionTimeout:
+    def test_execution_times_out_after_f_max_exec_frames(self):
+        # the flat episode is still at altitude after 7 execution frames
+        with mock.patch.object(simloop_mod, "_F_MAX_EXEC", 7):
+            result = run_episode(make_flat_scenario(), Params(f_max=50), seed=0)
+        rows = [row for row in result.telemetry if row["phase"] == "exec"]
+        assert result.outcome == "timeout" and result.touchdown_error is None
+        assert len(rows) == 7 and all(row["n_features"] > 0 for row in rows)
+        assert result.telemetry[-1] is rows[-1]
 
 
 def scan_hires_scenario() -> Scenario:

@@ -3,6 +3,7 @@ name (``bench/tracing.py``); every name it looks up must still resolve, so
 a rename inside the package fails here rather than in a traced bench run."""
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -10,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import tracing  # noqa: E402
 from conftest import SCENARIO_DIR  # noqa: E402
 
+from safeland import simloop  # noqa: E402
 from safeland.params import Params  # noqa: E402
 from safeland.scene import load_scenario  # noqa: E402
 from safeland.simloop import run_episode  # noqa: E402
@@ -41,8 +43,8 @@ def test_every_hooked_stage_is_called_by_an_episode():
     reaches every stage but the idle ones."""
     scenario = load_scenario(SCENARIO_DIR / "cluttered.yaml")
     tracer = tracing.Tracer()
-    with tracer.installed():
-        result = run_episode(scenario, Params(f_max_exec=5), seed=0)
+    with tracer.installed(), mock.patch.object(simloop, "_F_MAX_EXEC", 5):
+        result = run_episode(scenario, Params(), seed=0)
     assert (result.outcome, result.frames_total, result.frames_to_commit) == ("timeout", 7, 1)
     uncalled = {stage for stage, _, _ in _NAMES if tracer.calls[stage] == 0}
     assert uncalled == _IDLE
