@@ -4,11 +4,11 @@ Screening marks a pixel as locally landable when the windowed standard
 deviation of reconstructed world height and the depth gradient magnitude
 both stay under their thresholds. The gradient reads depth with invalid
 pixels and the ring beyond the image border marked NaN; a gradient with
-no valid neighbour to read is NaN and fails. Passing pixels form
-4-connected components; invalid (dropout) pixels are tolerated inside a
-component so holes do not shatter or shrink a region, but a region that
-is mostly invalid is dropped. Valid pixels that fail screening form the
-obstacle map consumed by the proximity cue.
+no valid neighbour to read is NaN and fails. Valid pixels that fail
+screening form the obstacle map consumed by the proximity cue, and the
+regions are the 4-connected components of the pixels that are not
+obstacles: passing and invalid (dropout) pixels. So holes do not shatter
+or shrink a region, but a region that is mostly invalid is dropped.
 
 A pixel's world height is the camera height minus its depth (the
 camera looks straight down). Screening runs the frame's one distance
@@ -18,8 +18,8 @@ turns it into the frame's clearance map, the squared distance to the
 nearest obstacle pixel or to the ring of pixels just beyond the image
 border, whichever is nearer. Within a region this is the distance to
 the nearest pixel outside the region: regions are 4-connected
-components of ``pass | ~valid``, so the nearest outside pixel q is an
-obstacle or beyond the border. Were q a candidate pixel of another
+components of the non-obstacle pixels, so the nearest outside pixel q
+is an obstacle or beyond the border. Were q a non-obstacle pixel of another
 component, its 4-neighbour one step closer to the region pixel would lie
 in the region and join the two.
 
@@ -60,7 +60,6 @@ _MAX_INVALID_FRAC = 0.30  # largest share of invalid pixels in a kept region
 
 @dataclass(frozen=True)
 class ScreenResult:
-    pass_mask: np.ndarray      # valid pixels that satisfy the screening criteria
     obstacle_mask: np.ndarray  # valid pixels that violate them
     obstacle_dist_px: np.ndarray  # distance to the nearest obstacle pixel (px; inf if none)
     clearance_sq: np.ndarray   # squared distance to the nearest obstacle or beyond the border (px²)
@@ -70,8 +69,6 @@ class ScreenResult:
 class RegionMask:
     box: tuple[slice, slice]       # bounding box of the component in the frame
     box_pixels: np.ndarray         # box-sized bool, the 4-connected component
-    area_px: int
-    centroid_px: tuple[float, float]   # (u, v)
     ground_footprint: np.ndarray   # (K,) sorted unique int64 ground-cell keys cx·2³² + cy
     mean_depth: float              # m, over valid pixels in the region
     rho: float                     # m, largest inscribed radius at the mean depth
@@ -148,7 +145,7 @@ def _screen_result(pass_mask: np.ndarray, valid: np.ndarray) -> ScreenResult:
         np.minimum(clearance_sq, obstacle_sq, out=clearance_sq)
     else:
         obstacle_dist_px = np.full(obstacle_mask.shape, np.inf)
-    return ScreenResult(pass_mask=pass_mask, obstacle_mask=obstacle_mask,
+    return ScreenResult(obstacle_mask=obstacle_mask,
                         obstacle_dist_px=obstacle_dist_px, clearance_sq=clearance_sq)
 
 
@@ -164,16 +161,17 @@ def _masked_gradient(d: np.ndarray) -> np.ndarray:
 
 
 def extract_regions(frame: DepthFrame, screen: ScreenResult) -> list[RegionMask]:
-    """The frame's screened 4-connected components of at least ``_A_MIN`` px, largest first."""
-    candidate = screen.pass_mask | ~frame.valid
-    labels, _ = ndimage.label(candidate, structure=_FOUR_CONNECTED)
+    """The frame's screened 4-connected components of at least ``_A_MIN`` px,
+    largest first, in label order on ties."""
+    labels, _ = ndimage.label(~screen.obstacle_mask, structure=_FOUR_CONNECTED)
     regions: list[RegionMask] = []
     xd, yd = frame.camera.rays()
     cam_x, cam_y = frame.camera.position[:2]
     areas = np.bincount(labels.ravel())
     areas[0] = 0   # the background
     boxes = ndimage.find_objects(labels)
-    for lab in np.flatnonzero(areas >= _A_MIN):
+    large = np.flatnonzero(areas >= _A_MIN)
+    for lab in large[np.argsort(-areas[large], kind="stable")]:
         box = boxes[lab - 1]   # every pixel of the region lies in its bounding box
         comp = labels[box] == lab
         area = int(areas[lab])
@@ -181,8 +179,6 @@ def extract_regions(frame: DepthFrame, screen: ScreenResult) -> list[RegionMask]
         n_valid = int(comp_valid.sum())
         if 1.0 - n_valid / area > _MAX_INVALID_FRAC:
             continue
-        vs, us = np.nonzero(comp)
-        centroid = (float((us + box[1].start).mean()), float((vs + box[0].start).mean()))
         vv, uu = np.nonzero(comp_valid)
         d = frame.depth[box][comp_valid]
         # the ground cell of each valid pixel
@@ -195,15 +191,12 @@ def extract_regions(frame: DepthFrame, screen: ScreenResult) -> list[RegionMask]
         regions.append(RegionMask(
             box=box,
             box_pixels=comp,
-            area_px=area,
-            centroid_px=centroid,
             ground_footprint=np.unique(cx * 2**32 + cy),
             mean_depth=mean_depth,
             rho=float(np.sqrt(float(d2[v, u])) * (mean_depth / frame.camera.focal_length)),
             center=frame.camera.backproject(u + box[1].start, v + box[0].start, mean_depth),
             camera=frame.camera,
         ))
-    regions.sort(key=lambda r: -r.area_px)
     return regions
 
 
@@ -243,13 +236,14 @@ def fit_plane(frame: DepthFrame, region: RegionMask) -> PlaneFit | None:
     return tls_plane(np.stack([xn * d, yn * d, d], axis=-1))   # camera-frame points
 
 
-def compute_cues(frame: DepthFrame, mask: RegionMask, fit: PlaneFit,
-                 obstacle_dist_px: np.ndarray, params: Params) -> CueVector:
+def compute_cues(mask: RegionMask, fit: PlaneFit, obstacle_dist_px: np.ndarray,
+                 params: Params) -> CueVector:
     """Flatness, slope, obstacle-proximity cue vector for one region.
 
-    ``obstacle_dist_px`` is the frame's obstacle distance map
-    (``ScreenResult.obstacle_dist_px``); with no obstacle it is inf
-    everywhere and the proximity cue is 0.
+    ``obstacle_dist_px`` is the obstacle distance map of the region's
+    frame (``ScreenResult.obstacle_dist_px``), read at the
+    ``_OBSTACLE_K`` region pixels nearest the region's pixel centroid;
+    with no obstacle it is inf everywhere and the proximity cue is 0.
     """
     flat = fit.rms_residual / params.sigma_f
     # the camera's optical axis is the gravity vertical
@@ -259,11 +253,11 @@ def compute_cues(frame: DepthFrame, mask: RegionMask, fit: PlaneFit,
     vs, us = np.nonzero(mask.box_pixels)
     vs += rows.start
     us += cols.start
-    cu, cv = mask.centroid_px
+    cu, cv = float(us.mean()), float(vs.mean())
     d2c = (us - cu) ** 2 + (vs - cv) ** 2
     order = np.lexsort((us, vs, d2c))
     sel = order[:_OBSTACLE_K]
-    gsd = mask.mean_depth / frame.camera.focal_length
+    gsd = mask.mean_depth / mask.camera.focal_length
     d_obs = float(obstacle_dist_px[vs[sel], us[sel]].mean()) * gsd
     prox = float(np.exp(-d_obs / params.d_scale))
     return CueVector(flatness=flat, slope=slope, obstacle=prox)

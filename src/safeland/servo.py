@@ -16,11 +16,11 @@ bits of a per-point loop (a row-major argmin over windows of an image
 padded with inf, so a window that leaves the image scores inf,
 ``np.vecdot`` for the dot products, ``math.hypot`` for step lengths).
 
-The feature set also carries an anchor: the image position of a chosen
-scene point (the committed center for ``acquire``; the detection
-centroid by default), propagated by the common scale-and-shift motion
-of the surviving points. Servoing on the anchor keeps the error signal
-continuous when individual points drop out or new ones are detected.
+The feature set also carries an anchor: the image position of the
+committed center, where ``acquire`` places it, propagated by the common
+scale-and-shift motion of the surviving points. Servoing on the anchor
+keeps the error signal continuous when individual points drop out or
+new ones are detected.
 
 The control law maps the normalized image error of the anchor through
 the pseudoinverse of the point interaction matrix; its gain, speed
@@ -89,10 +89,9 @@ def detect_features(intensity: np.ndarray, allowed: np.ndarray) -> np.ndarray:
     return np.stack([us[order], vs[order]], axis=1).astype(np.int64)
 
 
-def _sample_patches(intensity: np.ndarray, points: np.ndarray,
-                    patch_radius: int) -> np.ndarray:
+def _sample_patches(intensity: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Whole-pixel templates centered on the rounded points (inside the image)."""
-    pr = patch_radius
+    pr = _PATCH_RADIUS
     centers = np.round(points).astype(np.int64)
     windows = sliding_window_view(intensity, (2 * pr + 1, 2 * pr + 1))
     return windows[centers[:, 1] - pr, centers[:, 0] - pr]
@@ -118,8 +117,7 @@ def _hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _subpixel_refine(intensity: np.ndarray, templates: np.ndarray,
-                     points: np.ndarray, active: np.ndarray,
-                     patch_radius: int) -> np.ndarray:
+                     points: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Gauss-Newton alignment of each active point's patch onto its template.
 
     A point stops when its patch would leave the image, its normal
@@ -127,7 +125,7 @@ def _subpixel_refine(intensity: np.ndarray, templates: np.ndarray,
     wandered more than 1.5 px keeps its start (the SSD answer).
     """
     h, w = intensity.shape
-    pr = patch_radius
+    pr = _PATCH_RADIUS
     offs = np.arange(-pr, pr + 1)
     pts = points.copy()
     active = active.copy()
@@ -169,18 +167,17 @@ _SSD_CHUNK = 8  # points per block of the SSD; bounds its (8, S, S, P, P) tempor
 
 
 def _match_points(intensity: np.ndarray, templates: np.ndarray, points: np.ndarray,
-                  search_radius: int, patch_radius: int,
-                  mse_max: float) -> tuple[np.ndarray, np.ndarray]:
+                  search_radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-SSD match of every template in its search window, then refined.
 
     Every point's rounded position lies inside the image, as a tracked
     point's does. Returns the matched positions and a mask of the points
     that matched: a point fails when its best mean squared error exceeds
-    ``mse_max``. The image is padded with inf, so a window that leaves it
+    ``_MSE_MAX``. The image is padded with inf, so a window that leaves it
     scores inf and the row-major argmin picks the same position as a
     search of the window clipped to the image alone.
     """
-    pr, sr = patch_radius, search_radius
+    pr, sr = _PATCH_RADIUS, search_radius
     p, s = 2 * pr + 1, 2 * sr + 1
     n = points.shape[0]
     offs = np.arange(-sr, sr + 1)
@@ -202,12 +199,12 @@ def _match_points(intensity: np.ndarray, templates: np.ndarray, points: np.ndarr
     flat = np.argmin(ssd, axis=1)
     each = np.arange(n)
     best = ssd[each, flat]
-    matched = best / (p * p) <= mse_max
+    matched = best / (p * p) <= _MSE_MAX
     j, i = np.divmod(flat, s)
     hits = np.stack([us[each, i], vs[each, j]], axis=1).astype(float)
     # without refinement the median touchdown error (cluttered seeds 0-39) is 0.217 m,
     # not 0.033 m; an exact integer match is kept as-is so a static scene has zero drift
-    hits = _subpixel_refine(intensity, templates, hits, matched & (best > 0.0), pr)
+    hits = _subpixel_refine(intensity, templates, hits, matched & (best > 0.0))
     return hits, matched
 
 
@@ -245,31 +242,22 @@ def _similarity_step(prev_pts: np.ndarray, new_pts: np.ndarray,
 
 
 def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
-                     previous: FeatureSet | None, params: Params, *,
+                     previous: FeatureSet, params: Params, *,
                      z_now: float) -> FeatureSet:
-    """Initialize or advance the tracked feature set on a new intensity image.
+    """Advance the tracked feature set onto a new intensity image.
 
-    A returned set with ``n_t == 0`` is the tracking-lost signal. On
-    initialization, detection is restricted to ``region_mask``; on later
-    frames the mask bounds re-detection, which triggers whenever the
+    A returned set with ``n_t == 0`` is the tracking-lost signal.
+    ``region_mask`` bounds re-detection, which triggers whenever the
     population falls under ``_N_MIN`` and searches a disk around the anchor.
     ``z_now`` is the current region depth, finite and positive.
     """
-    pr = _PATCH_RADIUS
-    if previous is None:
-        pts = detect_features(intensity, region_mask)
-        ptsf = pts.astype(float)
-        anchor = ptsf.mean(axis=0) if len(ptsf) else np.zeros(2)
-        return FeatureSet(points=ptsf, patches=_sample_patches(intensity, ptsf, pr),
-                          anchor_px=anchor, ref_z=z_now)
-
     # known relative scale between template capture and now; warping the
     # template removes the matching bias a raw SSD would pick up (without it
     # one of cluttered seeds 0-39 aborts, and the worst touchdown error is 0.27 m)
     scale = float(np.clip(previous.ref_z / z_now, 0.6, 1.8))
 
     hits, matched = _match_points(intensity, _warp_template(previous.patches, scale),
-                                  previous.points, params.search_radius, pr, _MSE_MAX)
+                                  previous.points, params.search_radius)
     # cull points before border clipping degrades their matches
     inside = (_MARGIN <= hits) & (hits <= np.array(intensity.shape[::-1]) - 1 - _MARGIN)
     keep = matched & inside.all(axis=1)
@@ -291,7 +279,7 @@ def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
         fresh = detect_features(intensity, allowed).astype(float)
         if new_pts.shape[0]:
             d2 = ((fresh[:, None, :] - new_pts[None, :, :]) ** 2).sum(axis=2)
-            fresh = fresh[d2.min(axis=1) > (2.0 * pr) ** 2]
+            fresh = fresh[d2.min(axis=1) > (2.0 * _PATCH_RADIUS) ** 2]
         if fresh.shape[0]:
             # the whole set must share one template capture depth: the
             # survivors are refreshed alongside the new points
@@ -301,7 +289,7 @@ def detect_and_track(intensity: np.ndarray, region_mask: np.ndarray,
     # the border cull and detection both keep every point ``_MARGIN`` px inside
     if refresh:
         new_pts = np.round(new_pts)
-        patches = _sample_patches(intensity, new_pts, pr)
+        patches = _sample_patches(intensity, new_pts)
         ref_z = z_now
     return FeatureSet(points=new_pts, patches=patches, anchor_px=anchor, ref_z=ref_z)
 
@@ -312,28 +300,26 @@ def _disk(shape: tuple[int, int], center, radius: float) -> np.ndarray:
     return (us - center[0]) ** 2 + (vs - center[1]) ** 2 <= radius ** 2
 
 
-def acquire(frame: DepthFrame, center_px: np.ndarray, region_pixels: np.ndarray,
-            params: Params) -> FeatureSet | None:
+def acquire(frame: DepthFrame, center_px: np.ndarray,
+            region_pixels: np.ndarray) -> FeatureSet | None:
     """Detect the feature set that locks onto a committed center at ``center_px``.
 
     Searches the ``_COMMIT_WINDOW_PX`` disk, then the 3x disk; in each the
     valid pixels of ``region_pixels`` ((H, W) bool), or every valid pixel
-    of the disk when the region has none there. Returns the set anchored
-    on ``center_px``, its ``ref_z`` the mean depth of the pixels searched,
-    or None when neither disk holds a salient point.
+    of the disk when the region has none there. Returns the corners found
+    and their templates, anchored on ``center_px``, with ``ref_z`` the
+    mean depth of the pixels searched; None when neither disk holds one.
     """
     for radius in (_COMMIT_WINDOW_PX, 3 * _COMMIT_WINDOW_PX):
         disk = _disk(frame.valid.shape, center_px, radius) & frame.valid
         allowed = disk & region_pixels
         if not allowed.any():
             allowed = disk
-        if not allowed.any():
-            continue
-        z0 = float(frame.depth[allowed].mean())
-        fs = detect_and_track(frame.intensity, allowed, None, params, z_now=z0)
-        if fs.n_t > 0:
-            fs.anchor_px = np.asarray(center_px, dtype=float)
-            return fs
+        pts = detect_features(frame.intensity, allowed).astype(float)
+        if len(pts):
+            return FeatureSet(points=pts, patches=_sample_patches(frame.intensity, pts),
+                              anchor_px=np.asarray(center_px, dtype=float),
+                              ref_z=float(frame.depth[allowed].mean()))
     return None
 
 

@@ -5,9 +5,12 @@ phase flies a lawnmower pattern at constant altitude while beliefs
 accumulate; once a feasible track crosses the commit threshold the
 selector is never re-entered and the terminal phase servos the vehicle
 over the committed center and descends. Losing every feature for more
-than ``_LOSS_GRACE`` frames aborts to hover, and execution times out
-after ``_F_MAX_EXEC`` frames. A scan that flies into an obstacle taller
-than the scan altitude ends the episode as crashed. Both phases take
+than ``_LOSS_GRACE`` frames aborts to hover; under the depth
+``_H_BLIND``, where the ground is too near to show texture, a frame
+without features keeps the aligned descent instead and does not count
+toward the abort. Execution times out after ``_F_MAX_EXEC`` frames. A
+scan that flies into an obstacle taller than the scan altitude ends the
+episode as crashed. Both phases take
 each frame from one sense step (render, then corrupt) and read the run's
 parameters from ``Params``. A track's feasibility and centre are those
 of the region it holds, measured once when the region was extracted; the
@@ -80,11 +83,11 @@ def command_to_world(cmd: srv.VelocityCommand) -> np.ndarray:
 
 
 def step_vehicle_world(state: VehicleState, setpoint_world: np.ndarray,
-                       dt: float, t_v: float) -> VehicleState:
+                       dt: float) -> VehicleState:
     """First-order velocity response toward the setpoint, then integrate."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    gain = min(dt / t_v, 1.0)
+    gain = min(dt / _T_V, 1.0)
     vel = state.velocity + gain * (np.asarray(setpoint_world, dtype=float) - state.velocity)
     pos = state.position + vel * dt
     return VehicleState(position=pos, velocity=vel)
@@ -97,6 +100,7 @@ _T_V = 0.5             # s, time constant of the vehicle's velocity response
 _H_TD = 0.05           # m, height over the surface that counts as touchdown
 _F_MAX_EXEC = 2000     # execution frames before timeout
 _LOSS_GRACE = 5        # featureless frames in a row that execution hovers through
+_H_BLIND = 0.15        # m, depth under which a featureless frame keeps descending
 
 
 def lawnmower_waypoints(extent: tuple[float, float], altitude: float,
@@ -204,7 +208,7 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
             if fit is None:
                 continue
             matched_cues[track.id] = per.compute_cues(
-                frame, region, fit, screen.obstacle_dist_px, params)
+                region, fit, screen.obstacle_dist_px, params)
         bel.step(tracks, matched_cues, params)
 
         feasibility = {tr.id: sel.FeasibilityResult(rho=tr.mask.rho,
@@ -238,11 +242,10 @@ def _scan(scenario: Scenario, params: Params, world: World, rng: np.random.Gener
             result.commit_rho = best.mask.rho
             result.infeasible_belief_at_commit = max(infeasible_beliefs, default=None)
             if observer is not None:
-                observer("commit", {"t": t, "track": best,
-                                    "frame": frame, "mask": best.mask})
+                observer("commit", {"t": t, "track": best, "frame": frame})
             return state, best.mask
 
-        state = step_vehicle_world(state, setpoint, dt, _T_V)
+        state = step_vehicle_world(state, setpoint, dt)
     return None
 
 
@@ -263,7 +266,7 @@ def _execute(scenario: Scenario, params: Params, world: World,
     # detect the feature cloud around the committed center; the anchor point
     # tracks the center's image position through the cloud's common motion
     frame = _sense(scenario, world, state, rng)
-    fs = srv.acquire(frame, frame.camera.project(c_world), commit_mask.pixels, params)
+    fs = srv.acquire(frame, frame.camera.project(c_world), commit_mask.pixels)
     if fs is None:
         result.outcome = "aborted"
         _record_frame(result, start_t, "exec", state, (0.0, 0.0, 0.0),
@@ -287,8 +290,11 @@ def _execute(scenario: Scenario, params: Params, world: World,
                                       z_now=z_t)
 
         if fs.n_t == 0:
-            lost += 1
-            cmd = srv.HOVER
+            if z_t < _H_BLIND:   # the descent control gives at zero error
+                cmd = srv.VelocityCommand(0.0, 0.0, -min(params.v_des, params.v_z_max))
+            else:
+                lost += 1
+                cmd = srv.HOVER
             s_virtual = None
             error = {}
         else:
@@ -308,7 +314,7 @@ def _execute(scenario: Scenario, params: Params, world: World,
             result.outcome = "aborted"
             return
 
-        state = step_vehicle_world(state, command_to_world(cmd), dt, _T_V)
+        state = step_vehicle_world(state, command_to_world(cmd), dt)
         surface = world.surface_height_at(state.position[0], state.position[1])
         if state.position[2] - surface < _H_TD:
             result.outcome = "landed"

@@ -9,6 +9,7 @@ from scipy import ndimage
 
 from safeland.params import Params
 from safeland.perception import RegionMask
+from safeland.servo import FeatureSet, _sample_patches, detect_features
 from safeland.scene import (CameraModel, DepthFrame, Scenario, build_world,
                             load_scenario, render_true_depth)
 from safeland.simloop import run_episode
@@ -72,11 +73,16 @@ def region_box(pixels: np.ndarray) -> dict:
 
 def frame_region(frame: DepthFrame, pixels: np.ndarray) -> RegionMask:
     """A ``RegionMask`` of a full-frame mask of ``frame``, as ``fit_plane`` reads it."""
-    vs, us = np.nonzero(pixels)
-    return RegionMask(**region_box(pixels), area_px=int(vs.size),
-                      centroid_px=(float(us.mean()), float(vs.mean())),
-                      ground_footprint=np.zeros(0, dtype=np.int64),
+    return RegionMask(**region_box(pixels), ground_footprint=np.zeros(0, dtype=np.int64),
                       mean_depth=float(frame.depth[pixels].mean()), camera=frame.camera)
+
+
+def start_features(intensity: np.ndarray, allowed: np.ndarray, *, z_now: float) -> FeatureSet:
+    """The corners detected in ``allowed`` with their templates, anchored on
+    their centroid: a set for ``detect_and_track`` to advance."""
+    pts = detect_features(intensity, allowed).astype(float)
+    return FeatureSet(points=pts, patches=_sample_patches(intensity, pts),
+                      anchor_px=pts.mean(axis=0), ref_z=z_now)
 
 
 class _EnoughFrames(Exception):

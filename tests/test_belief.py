@@ -152,8 +152,7 @@ class TestRecursion:
 
 def region_with_cells(cells: np.ndarray, camera=None) -> RegionMask:
     pixels = np.ones((4, 4), dtype=bool)
-    return RegionMask(**region_box(pixels), area_px=16,
-                      centroid_px=(1.5, 1.5), ground_footprint=cells,
+    return RegionMask(**region_box(pixels), ground_footprint=cells,
                       mean_depth=5.0, camera=camera)
 
 

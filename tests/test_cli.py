@@ -16,8 +16,10 @@ from conftest import SCENARIO_DIR, output_digest
 # a refactor that keeps these keeps every emitted byte
 UNDERSIZED_F10_SEEDS_0_1_DIGEST = \
     "01efd864827f74f82fe2c1779a0383b02389ba25c3e609e60aec0a2544ace43d"
+# flat seed 0 has no feature on its last frame (t=300, 0.052 m), which
+# commands the descent under simloop._H_BLIND rather than a hover
 FLAT_SEED0_CSV_DIGEST = \
-    "a9c7914acf8ad9e260c329c11ddc7dfcd94634af0307ca6000e977015b27efa5"
+    "52b2017c92b921a368b42d4a3a880c1e65be44835d0b047c473a5da0f84faa4a"
 # SHA-256 of maps/*.pgm, concatenated in name order, for seed 0 at f_max=10
 MAPS_SEED0_F10 = {
     "flat": (68, "6b573241f735e9e242f6de6d562c2bf6a844a714b78bc16c2b6d229b877c795b"),

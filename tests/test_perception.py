@@ -72,7 +72,8 @@ class TestScreenFrame:
         depth, valid, k = case
         frame = synthetic_frame(depth, valid=valid)
         with mock.patch.object(perception, "_SCREEN_K", k):
-            got = screen_frame(frame, params).pass_mask
+            screen = screen_frame(frame, params)
+        got = frame.valid & ~screen.obstacle_mask
         want, near = oracles.screen_pass_mask(depth, valid, frame.camera.position[2],
                                               k, params.v_max, params.g_max)
         assert np.array_equal(got[~near], want[~near])
@@ -84,7 +85,7 @@ class TestExtractRegions:
         frame = render_true_depth(world, CameraModel(96, 72, 72.0, [3.0, 2.5, 2.2]))
         regions = extract_regions(frame, screen_frame(frame, params))
         assert len(regions) == 1
-        assert regions[0].area_px == int(frame.valid.sum())
+        assert int(regions[0].box_pixels.sum()) == int(frame.valid.sum())
         assert np.array_equal(regions[0].pixels, frame.valid)
 
     def test_wall_bisects_frame_into_two_regions(self, params):
@@ -161,8 +162,18 @@ class TestExtractRegions:
         world = build_world(sc)
         frame = render_true_depth(world, CameraModel(96, 72, 72.0, [4.5, 3.5, 5.0]))
         regions = extract_regions(frame, screen_frame(frame, params))
-        areas = [r.area_px for r in regions]
+        areas = [int(r.box_pixels.sum()) for r in regions]
         assert areas == sorted(areas, reverse=True)
+
+    def test_equal_areas_keep_label_order(self):
+        # components of 4, 8 and 4 px, labelled left to right
+        classes = screened("..#....#..", "..#....#..")
+        valid, passing = classes != 2, classes == 0
+        frame = synthetic_frame(np.full(classes.shape, 5.0), valid=valid)
+        with mock.patch.object(perception, "_A_MIN", 1):
+            regions = extract_regions(frame, _screen_result(passing, valid))
+        assert [int(r.box_pixels.sum()) for r in regions] == [8, 4, 4]
+        assert [r.box[1].start for r in regions] == [3, 0, 8]
 
     def test_region_of_exactly_a_min_pixels_is_kept(self, params):
         sc = make_flat_scenario(extent=(9.0, 7.0), obstacles=(
@@ -170,14 +181,14 @@ class TestExtractRegions:
         frame = render_true_depth(build_world(sc),
                                   CameraModel(96, 72, 72.0, [4.5, 3.5, 5.0]))
         screen = screen_frame(frame, params)
-        areas = [r.area_px for r in extract_regions(frame, screen)]
+        areas = [int(r.box_pixels.sum()) for r in extract_regions(frame, screen)]
         smallest = areas[-1]
         with mock.patch.object(perception, "_A_MIN", smallest):
             at_min = extract_regions(frame, screen)
-        assert [r.area_px for r in at_min] == areas
+        assert [int(r.box_pixels.sum()) for r in at_min] == areas
         with mock.patch.object(perception, "_A_MIN", smallest + 1):
             above_min = extract_regions(frame, screen)
-        assert [r.area_px for r in above_min] == [a for a in areas if a > smallest]
+        assert [int(r.box_pixels.sum()) for r in above_min] == [a for a in areas if a > smallest]
 
 
 def screened(*rows: str) -> np.ndarray:
@@ -322,7 +333,7 @@ class TestComputeCues:
         screen = screen_frame(frame, params)
         region = self._region_for(frame, screen)
         fit = fit_plane(frame, region)
-        cues = compute_cues(frame, region, fit,
+        cues = compute_cues(region, fit,
                             oracle_distance_px(screen.obstacle_mask), params)
         assert cues.flatness == pytest.approx(0.0, abs=1e-7)
         assert cues.slope == pytest.approx(0.0, abs=1e-6)
@@ -336,7 +347,7 @@ class TestComputeCues:
         screen = screen_frame(frame, params)
         region = self._region_for(frame, screen)
         fit = fit_plane(frame, region)
-        cues = compute_cues(frame, region, fit,
+        cues = compute_cues(region, fit,
                             oracle_distance_px(screen.obstacle_mask), params)
         assert cues.slope == pytest.approx(math.radians(10.0), abs=1e-3)
 
@@ -350,11 +361,10 @@ class TestComputeCues:
         obstacle[:, 10] = True
         pixels = np.zeros((h, w), dtype=bool)
         pixels[19:22, 19:22] = True
-        region = RegionMask(**region_box(pixels), area_px=9, centroid_px=(20.0, 20.0),
-                            ground_footprint=np.zeros(1, dtype=np.int64),
+        region = RegionMask(**region_box(pixels), ground_footprint=np.zeros(1, dtype=np.int64),
                             mean_depth=5.0, camera=frame.camera)
         fit = PlaneFit(normal=np.array([0.0, 0.0, -1.0]), rms_residual=0.0)
-        cues = compute_cues(frame, region, fit,
+        cues = compute_cues(region, fit,
                             oracle_distance_px(obstacle), params)
         assert cues.obstacle == pytest.approx(math.exp(-2.0), abs=1e-12)
 
@@ -362,11 +372,10 @@ class TestComputeCues:
         depth = np.full((20, 20), 5.0)
         frame = synthetic_frame(depth)
         pixels = np.ones((20, 20), dtype=bool)
-        region = RegionMask(**region_box(pixels), area_px=400, centroid_px=(9.5, 9.5),
-                            ground_footprint=np.zeros(1, dtype=np.int64),
+        region = RegionMask(**region_box(pixels), ground_footprint=np.zeros(1, dtype=np.int64),
                             mean_depth=5.0, camera=frame.camera)
         fit = PlaneFit(normal=np.array([0.0, 0.0, -1.0]), rms_residual=0.0)
-        cues = compute_cues(frame, region, fit,
+        cues = compute_cues(region, fit,
                             oracle_distance_px(np.zeros((20, 20), dtype=bool)), params)
         assert cues.obstacle == 0.0
 
@@ -376,15 +385,14 @@ class TestComputeCues:
         frame = synthetic_frame(depth, focal=50.0)
         pixels = np.zeros((h, w), dtype=bool)
         pixels[19:22, 29:32] = True
-        region = RegionMask(**region_box(pixels), area_px=9, centroid_px=(30.0, 20.0),
-                            ground_footprint=np.zeros(1, dtype=np.int64),
+        region = RegionMask(**region_box(pixels), ground_footprint=np.zeros(1, dtype=np.int64),
                             mean_depth=5.0, camera=frame.camera)
         fit = PlaneFit(normal=np.array([0.0, 0.0, -1.0]), rms_residual=0.0)
         scores = []
         for col in (25, 18, 10, 2):
             obstacle = np.zeros((h, w), dtype=bool)
             obstacle[:, col] = True
-            cues = compute_cues(frame, region, fit,
+            cues = compute_cues(region, fit,
                                 oracle_distance_px(obstacle), params)
             scores.append(cues.obstacle)
         assert all(a > b for a, b in zip(scores, scores[1:]))
@@ -393,15 +401,14 @@ class TestComputeCues:
         depth = np.full((20, 20), 5.0)
         frame = synthetic_frame(depth)
         pixels = np.ones((20, 20), dtype=bool)
-        region = RegionMask(**region_box(pixels), area_px=400, centroid_px=(9.5, 9.5),
-                            ground_footprint=np.zeros(1, dtype=np.int64),
+        region = RegionMask(**region_box(pixels), ground_footprint=np.zeros(1, dtype=np.int64),
                             mean_depth=5.0, camera=frame.camera)
         n = np.array([0.1, 0.0, -1.0])
         n /= np.linalg.norm(n)
-        cues_a = compute_cues(frame, region,
+        cues_a = compute_cues(region,
                               PlaneFit(n, 0.0),
                               oracle_distance_px(np.zeros((20, 20), dtype=bool)), params)
-        cues_b = compute_cues(frame, region,
+        cues_b = compute_cues(region,
                               PlaneFit(-n, 0.0),
                               oracle_distance_px(np.zeros((20, 20), dtype=bool)), params)
         assert cues_a.slope == pytest.approx(cues_b.slope, abs=1e-15)

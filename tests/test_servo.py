@@ -13,7 +13,7 @@ from safeland.servo import (_COMMIT_WINDOW_PX, _MARGIN, _MSE_MAX, _N_MIN, _PATCH
                             detect_features, ibvs_velocity, interaction_matrix)
 
 import oracles
-from conftest import synthetic_frame
+from conftest import start_features, synthetic_frame
 
 
 def textured_image(seed: int = 0, h: int = 72, w: int = 96) -> np.ndarray:
@@ -27,7 +27,7 @@ class TestTracking:
     def test_static_scene_zero_drift_over_many_frames(self, params):
         img = textured_image()
         allowed = np.ones_like(img, dtype=bool)
-        fs = detect_and_track(img, allowed, None, params, z_now=5.0)
+        fs = start_features(img, allowed, z_now=5.0)
         assert fs.n_t > 10
         first = fs.points.copy()
         anchor0 = fs.anchor_px.copy()
@@ -40,7 +40,7 @@ class TestTracking:
         img = textured_image(seed=1)
         allowed = np.zeros_like(img, dtype=bool)
         allowed[:, : img.shape[1] - 20] = True   # keep room to shift right
-        fs = detect_and_track(img, allowed, None, params, z_now=5.0)
+        fs = start_features(img, allowed, z_now=5.0)
         assert fs.n_t > 5
         shifted = np.roll(img, 10, axis=1)
         fs2 = detect_and_track(shifted, np.ones_like(allowed), fs, params,
@@ -53,22 +53,25 @@ class TestTracking:
             assert d.min() <= 1.0
 
     def test_textureless_image_reports_tracking_lost(self, params):
-        img = np.full((72, 96), 0.5)
-        fs = detect_and_track(img, np.ones_like(img, dtype=bool), None,
-                              params, z_now=5.0)
-        assert fs.n_t == 0
+        img = textured_image()
+        allowed = np.ones_like(img, dtype=bool)
+        fs = start_features(img, allowed, z_now=5.0)
+        assert fs.n_t > 0
+        # no template matches a flat image and re-detection finds no corner
+        lost = detect_and_track(np.full(img.shape, 0.5), allowed, fs, params, z_now=5.0)
+        assert lost.n_t == 0
 
     def test_redetection_triggers_below_minimum_population(self, params):
         img = textured_image(seed=2)
         allowed = np.ones_like(img, dtype=bool)
-        fs = detect_and_track(img, allowed, None, params, z_now=5.0)
+        fs = start_features(img, allowed, z_now=5.0)
         starved = FeatureSet(points=fs.points[:2].copy(),
                              patches=fs.patches[:2].copy(),
                              anchor_px=fs.anchor_px.copy(), ref_z=fs.ref_z)
         fs2 = detect_and_track(img, allowed, starved, params, z_now=5.0)
         assert fs2.n_t >= _N_MIN
         # re-detection alone refreshes every template
-        assert np.array_equal(fs2.patches, _sample_patches(img, fs2.points, _PATCH_RADIUS))
+        assert np.array_equal(fs2.patches, _sample_patches(img, fs2.points))
 
     def test_detection_respects_allowed_mask(self, params):
         img = textured_image(seed=3)
@@ -102,7 +105,7 @@ class TestTracking:
         # adds fresh points in the same call
         _, frames = episode_frames[name]
         for a, b in zip(frames[:-1], frames[1:]):
-            fs = detect_and_track(a.intensity, a.valid, None, params, z_now=5.0)
+            fs = start_features(a.intensity, a.valid, z_now=5.0)
             starved = dataclasses.replace(fs, points=fs.points[:3], patches=fs.patches[:3])
             with mock.patch.object(servo, "_RETEMPLATE_RATIO", 0.01):
                 with mock.patch.object(servo, "_N_MIN", 1):
@@ -117,7 +120,7 @@ class TestTracking:
             assert np.array_equal(pts, np.round(pts))
             assert np.all((pts >= _MARGIN) & (pts <= np.array([w, h]) - 1 - _MARGIN))
             assert np.array_equal(got.patches,
-                                  _sample_patches(b.intensity, pts, _PATCH_RADIUS))
+                                  _sample_patches(b.intensity, pts))
             assert got.ref_z == 4.9
 
 
@@ -140,50 +143,51 @@ class TestAcquire:
         return synthetic_frame(depth, valid,
                                textured_image(seed=7) if intensity is None else intensity)
 
-    def acquire_in(self, frame, region, params, radius):
+    def acquire_in(self, frame, region, radius):
         """The acquired set, checked against the valid disk pixels it searched."""
         searched = disk_mask(region.shape, self.CENTER, radius) & region & frame.valid
-        fs = acquire(frame, self.CENTER, region, params)
+        fs = acquire(frame, self.CENTER, region)
         assert np.array_equal(fs.anchor_px, self.CENTER)
         us, vs = fs.points.astype(int).T
         assert fs.n_t > 0 and searched[vs, us].all()
         assert fs.ref_z == float(frame.depth[searched].mean())
+        assert np.array_equal(fs.patches, _sample_patches(frame.intensity, fs.points))
         return fs
 
-    def test_anchored_on_the_center_inside_disk_and_region(self, params):
+    def test_anchored_on_the_center_inside_disk_and_region(self):
         frame = self.frame()
         region = np.zeros(frame.valid.shape, dtype=bool)
         region[20:60, 30:70] = True
-        self.acquire_in(frame, region, params, _COMMIT_WINDOW_PX)
+        self.acquire_in(frame, region, _COMMIT_WINDOW_PX)
 
-    def test_whole_disk_when_the_region_has_no_valid_pixel_there(self, params):
+    def test_whole_disk_when_the_region_has_no_valid_pixel_there(self):
         frame = self.frame()
         region = np.zeros(frame.valid.shape, dtype=bool)
         region[:, 44:48] = True      # inside the disk, but all invalid
         region[:, 80:] = True        # valid, but outside the disk
-        fs = acquire(frame, self.CENTER, region, params)
+        fs = acquire(frame, self.CENTER, region)
         # the same set and depth as a search of the whole disk
-        whole = self.acquire_in(frame, np.ones_like(region), params, _COMMIT_WINDOW_PX)
+        whole = self.acquire_in(frame, np.ones_like(region), _COMMIT_WINDOW_PX)
         assert np.array_equal(fs.points, whole.points) and fs.ref_z == whole.ref_z
 
-    def test_three_times_the_window_when_the_small_one_is_flat(self, params):
+    def test_three_times_the_window_when_the_small_one_is_flat(self):
         intensity = textured_image(seed=7)
         # no variance in any 5 x 5 window centred in the small disk
         small = disk_mask(intensity.shape, self.CENTER, _COMMIT_WINDOW_PX)
         intensity[disk_mask(intensity.shape, self.CENTER, _COMMIT_WINDOW_PX + 3)] = 0.5
-        fs = self.acquire_in(self.frame(intensity), np.ones_like(small), params,
+        fs = self.acquire_in(self.frame(intensity), np.ones_like(small),
                              3 * _COMMIT_WINDOW_PX)
         assert not small[fs.points[:, 1].astype(int), fs.points[:, 0].astype(int)].any()
 
-    def test_textureless_frame_finds_nothing(self, params):
+    def test_textureless_frame_finds_nothing(self):
         frame = self.frame(np.full((72, 96), 0.5))
-        assert acquire(frame, self.CENTER, frame.valid, params) is None
+        assert acquire(frame, self.CENTER, frame.valid) is None
 
 
 def match_like_reference(intensity, templates, points, params):
     """Batched matches, asserted bit-equal to the per-point reference."""
     pr, sr = _PATCH_RADIUS, params.search_radius
-    hits, matched = _match_points(intensity, templates, points, sr, pr, _MSE_MAX)
+    hits, matched = _match_points(intensity, templates, points, sr)
     for k in range(points.shape[0]):
         ref = oracles.match_point(intensity, templates[k], points[k, 0], points[k, 1],
                                   sr, pr, _MSE_MAX)
@@ -202,7 +206,7 @@ class TestBatchedMatcher:
         # template warped by the change in camera height
         _, frames = episode_frames[name]
         for a, b in zip(frames[:-1], frames[1:]):
-            fs = detect_and_track(a.intensity, a.valid, None, params, z_now=5.0)
+            fs = start_features(a.intensity, a.valid, z_now=5.0)
             assert fs.n_t > 0
             scale = float(a.camera.position[2] / b.camera.position[2])
             templates = _warp_template(fs.patches, scale)
@@ -385,7 +389,7 @@ class TestAnchor:
         img = textured_image(seed=5)
         allowed = np.zeros_like(img, dtype=bool)
         allowed[:, : img.shape[1] - 16] = True
-        fs = detect_and_track(img, allowed, None, params, z_now=5.0)
+        fs = start_features(img, allowed, z_now=5.0)
         anchor0 = fs.anchor_px.copy()
         shifted = np.roll(img, 8, axis=1)
         fs2 = detect_and_track(shifted, np.ones_like(allowed), fs, params,

@@ -13,7 +13,7 @@ from safeland import servo
 from safeland.params import Params
 from safeland.scene import Box, CameraModel, NoiseModel, Scenario, load_scenario
 from safeland.servo import HOVER, VelocityCommand
-from safeland.simloop import (_LOSS_GRACE, VehicleState, command_to_world,
+from safeland.simloop import (_H_BLIND, _LOSS_GRACE, _T_V, VehicleState, command_to_world,
                               lawnmower_waypoints, make_camera, run_episode,
                               step_vehicle_world)
 
@@ -29,23 +29,23 @@ def rest_state(altitude: float = 2.0) -> VehicleState:
 class TestVehicle:
     def test_zero_command_from_rest_is_equilibrium(self):
         state = rest_state()
-        out = step_vehicle_world(state, command_to_world(HOVER), dt=0.1, t_v=0.5)
+        out = step_vehicle_world(state, command_to_world(HOVER), dt=0.1)
         assert np.array_equal(out.position, state.position)
         assert np.array_equal(out.velocity, state.velocity)
 
     def test_constant_command_settles_within_one_percent(self):
         state = rest_state()
         setpoint = np.array([0.2, 0.0, 0.0])
-        for _ in range(100):   # 10 s >> t_v = 0.5 s
-            state = step_vehicle_world(state, setpoint, dt=0.1, t_v=0.5)
+        for _ in range(100):   # 10 s >> _T_V = 0.5 s
+            state = step_vehicle_world(state, setpoint, dt=0.1)
         assert abs(state.velocity[0] - 0.2) < 0.002
 
     def test_velocity_trace_matches_closed_form(self):
         state = rest_state()
         setpoint = np.array([0.25, 0.0, 0.0])
         for k in range(1, 40):
-            state = step_vehicle_world(state, setpoint, dt=0.1, t_v=0.5)
-            expected = oracles.first_order_velocity(0.25, 0.1, 0.5, k)
+            state = step_vehicle_world(state, setpoint, dt=0.1)
+            expected = oracles.first_order_velocity(0.25, 0.1, _T_V, k)
             assert state.velocity[0] == pytest.approx(expected, abs=1e-6)
 
     def test_camera_command_mapping_follows_image_axes(self):
@@ -161,7 +161,6 @@ class TestEpisode:
         def observer(event, data):
             if event == "commit":
                 track = data["track"]
-                assert data["mask"] is track.mask
                 committed.append((track.mask.center.copy(), track.mask.rho, track.belief))
 
         with mock.patch.object(simloop_mod, "_F_MAX_EXEC", 5):
@@ -258,15 +257,13 @@ class TestEpisode:
 
 def lose_features(monkeypatch, first: int, frames: int) -> None:
     """The tracker reports no feature on ``frames`` tracked frames from the
-    ``first``-th on (acquisition's detection is not one), keeping the
-    anchor it would have carried; the loop reaches it through ``servo``."""
+    ``first``-th on, keeping the anchor it would have carried; the loop
+    reaches it through ``servo``."""
     real = servo.detect_and_track
     tracked = [0]
 
     def track(intensity, region_mask, previous, params, *, z_now):
         fs = real(intensity, region_mask, previous, params, z_now=z_now)
-        if previous is None:
-            return fs
         tracked[0] += 1
         if first <= tracked[0] < first + frames:
             return dataclasses.replace(fs, points=fs.points[:0], patches=fs.patches[:0])
@@ -277,7 +274,9 @@ def lose_features(monkeypatch, first: int, frames: int) -> None:
 
 class TestLossGrace:
     """Execution frame k > 0 is the k-th tracked frame; frame 60 of the flat
-    episode is mid-descent, at about 1.4 m."""
+    episode is mid-descent, at about 1.4 m, and from frame 124 on the
+    measured depth falls from 0.19 m by 0.02 m a frame to touchdown after
+    frame 130."""
 
     FIRST = 60
 
@@ -307,6 +306,34 @@ class TestLossGrace:
         assert len(rows) == self.FIRST + frames
         assert all(map(self.hovers_without_features, rows[-frames:]))
         assert not self.hovers_without_features(rows[-frames - 1])
+
+    def test_loss_below_the_blind_depth_keeps_descending(self, monkeypatch):
+        # without a feature from frame 126 (0.146 m) on, hovering would
+        # abort on frame 131, before touchdown
+        first = 126
+        lose_features(monkeypatch, first, 10_000)
+        result = run_episode(make_flat_scenario(), Params(f_max=50), seed=0)
+        rows = [row for row in result.telemetry if row["phase"] == "exec"]
+        assert result.outcome == "landed" and result.touchdown_error < 0.05
+        blind = rows[first:]
+        assert len(blind) == 5 and blind[0]["depth_z"] < _H_BLIND
+        descent = (0.0, 0.0, -min(Params().v_des, Params().v_z_max))
+        for row in blind:
+            assert (row["cmd_vx"], row["cmd_vy"], row["cmd_vz"]) == descent
+            assert row["n_features"] == 0 and row["e_norm"] is None
+
+    def test_loss_that_reaches_the_blind_depth_stops_counting(self, monkeypatch):
+        # lost from frame 124 (0.19 m) on: the vehicle hovers, still sinking,
+        # under the grace until the depth falls under _H_BLIND, then descends
+        first = 124
+        lose_features(monkeypatch, first, 10_000)
+        result = run_episode(make_flat_scenario(), Params(f_max=50), seed=0)
+        rows = [row for row in result.telemetry if row["phase"] == "exec"][first:]
+        assert result.outcome == "landed"
+        hover = [row for row in rows if row["depth_z"] >= _H_BLIND]
+        assert 0 < len(hover) <= _LOSS_GRACE < len(rows)
+        assert all(map(self.hovers_without_features, hover))
+        assert all(row["cmd_vz"] < 0.0 for row in rows[len(hover):])
 
 
 class TestExecutionTimeout:
