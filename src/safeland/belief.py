@@ -9,9 +9,11 @@ saturates; evidence always stays revisable.
 Association runs on ground-projected footprints (greedy best-IoU), so
 camera motion does not break track identity. A footprint is its
 region's sorted unique ground-cell keys, as ``perception`` forms them;
-the IoU reads only their sizes and intersections. Weights, likelihood
-scales, the floor and the persistence factor are read from ``Params``;
-the IoU threshold and the retirement grace are module constants.
+each becomes a 0/1 membership row over the frame's cells, and one
+matrix product of the track rows with the region rows counts every
+pair's intersection. Weights, likelihood scales, the floor and the
+persistence factor are read from ``Params``; the IoU threshold and the
+retirement grace are module constants.
 """
 from __future__ import annotations
 
@@ -67,39 +69,24 @@ class RegionTrack:
     likelihoods: tuple[float, float] | None = None  # (l1, l0) of the last tick; None if unmatched
 
 
-def _cell_keys(footprints: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Every cell key of the footprints, with the index of its footprint."""
-    keys = np.concatenate([np.zeros(0, dtype=np.int64), *footprints])
-    owner = np.repeat(np.arange(len(footprints)), [len(c) for c in footprints])
-    return keys, owner
-
-
 def _iou_matrix(footprints_a: list[np.ndarray], footprints_b: list[np.ndarray]) -> np.ndarray:
-    """(A, B) IoU of every pair of cell-key footprints, from one join.
+    """(A, B) IoU of every pair of cell-key footprints, from one membership product.
 
-    The cells of the B footprints are sorted once by key; every cell of
-    an A footprint finds the B cells with its key by binary search, and
-    the (a, b) pairs so found are counted into the intersections. An
-    empty footprint has IoU 0.0 with every other. ``tests/oracles.py``
-    holds the pairwise reference, ``footprint_iou``.
+    Each footprint becomes a 0/1 row over the cells of all the
+    footprints; the intersections are the product of the A rows with the
+    B rows, each union is the two row sums less the intersection, and the
+    IoU is 0.0 where the union is empty. ``tests/oracles.py`` holds the
+    pairwise reference, ``footprint_iou``.
     """
-    n_a, n_b = len(footprints_a), len(footprints_b)
-    keys_a, owner_a = _cell_keys(footprints_a)
-    keys_b, owner_b = _cell_keys(footprints_b)
-    order = np.argsort(keys_b, kind="stable")
-    keys_b, owner_b = keys_b[order], owner_b[order]
-    lo = np.searchsorted(keys_b, keys_a, side="left")
-    hits = np.searchsorted(keys_b, keys_a, side="right") - lo
-    # the i-th hit of cell c of A is B cell lo[c] + i
-    starts = np.cumsum(hits) - hits
-    at = np.arange(int(hits.sum())) + np.repeat(lo - starts, hits)
-    pairs = np.repeat(owner_a, hits) * n_b + owner_b[at]
-    inter = np.bincount(pairs, minlength=n_a * n_b).reshape(n_a, n_b)
-    size_a = np.bincount(owner_a, minlength=n_a)[:, None]
-    size_b = np.bincount(owner_b, minlength=n_b)[None, :]
-    union = size_a + size_b - inter
-    nonempty = (size_a > 0) & (size_b > 0)
-    return np.where(nonempty, inter / np.where(nonempty, union, 1), 0.0)
+    footprints = [*footprints_a, *footprints_b]
+    cells, column = np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *footprints]),
+                              return_inverse=True)
+    member = np.zeros((len(footprints), cells.size))
+    member[np.repeat(np.arange(len(footprints)), [len(f) for f in footprints]), column] = 1.0
+    rows_a, rows_b = member[:len(footprints_a)], member[len(footprints_a):]
+    inter = rows_a @ rows_b.T
+    union = rows_a.sum(axis=1)[:, None] + rows_b.sum(axis=1)[None, :] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0.0)
 
 
 @dataclass
@@ -124,11 +111,11 @@ def associate(tracks: list[RegionTrack], regions: list[RegionMask], params: Para
     matches: list[tuple[RegionTrack, RegionMask]] = []
     used_t = np.zeros(n_t, dtype=bool)
     used_r = np.zeros(n_r, dtype=bool)
-    while n_t and n_r:
-        masked = np.where(used_t[:, None] | used_r[None, :], -1.0, iou)
-        i, j = np.unravel_index(int(np.argmax(masked)), masked.shape)
-        if masked[i, j] < _IOU_MIN:
+    while iou.size:
+        i, j = np.unravel_index(int(np.argmax(iou)), iou.shape)
+        if iou[i, j] < _IOU_MIN:
             break
+        iou[i, :] = iou[:, j] = -1.0   # an IoU no pair reaches: neither side matches again
         used_t[i] = used_r[j] = True
         track, region = tracks[i], regions[j]
         track.mask = region

@@ -29,6 +29,10 @@ marches the whole lattice. A box's slab test forms the image only when
 some column and some row of the view meet the box. None of this changes
 a result bit from the full per-pixel march. Rendering and corruption are
 pure functions; the RNG for corruption is passed explicitly.
+
+One surface rule bounds the poses, the one the loop's crash and
+touchdown tests apply: a camera renders only above
+``World.surface_height_at`` under it, and any lower pose raises.
 """
 from __future__ import annotations
 
@@ -254,7 +258,6 @@ class FlatPatch:
 
 @dataclass(frozen=True)
 class Scenario:
-    name: str = "scenario"
     terrain: str = "flat"            # flat | ramp | rough
     extent: tuple[float, float] = ranged((9.0, 7.0), gt=0.0)
     ground_resolution: float = ranged(0.1, gt=0.0)
@@ -277,12 +280,6 @@ class Scenario:
         validate(self)
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
-    return scenario_from_dict(raw, name=Path(path).stem)
-
-
 def _from_dict(cls, raw, where: str):
     """``cls`` built from a mapping of its field names, YAML lists read as tuples;
     errors name the entry ``where`` they come from."""
@@ -297,12 +294,13 @@ def _from_dict(cls, raw, where: str):
         raise ConfigError(f"{where}{exc}") from None
 
 
-def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
-    """The scenario a YAML mapping describes; unknown keys and values outside
+def load_scenario(path: str | Path) -> Scenario:
+    """The scenario a YAML file describes; unknown keys and values outside
     a field's domain raise ``ConfigError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh) or {}
     if not isinstance(raw, dict):
         raise ConfigError(f"expected a mapping, got {raw!r}")
-    raw = {"name": name, **raw}
     for key, cls in (("obstacles", Box), ("flat_patches", FlatPatch)):
         items = raw.get(key) or []
         if not isinstance(items, list):
@@ -313,7 +311,7 @@ def scenario_from_dict(raw: dict, name: str = "scenario") -> Scenario:
 
 
 def _value_noise(rng: np.random.Generator, shape: tuple[int, int], cell: int) -> np.ndarray:
-    """Bilinearly interpolated lattice noise in [0, 1]."""
+    """Bilinearly interpolated lattice noise in [0, 1]; a cell under 1 px counts as 1."""
     cell = max(int(cell), 1)
     ny = shape[0] // cell + 2
     nx = shape[1] // cell + 2
@@ -335,9 +333,9 @@ def build_world(scenario: Scenario) -> World:
         heights = np.tile(xs * math.tan(math.radians(scenario.ramp_grade_deg)), (ny, 1))
     else:  # rough
         rng = np.random.default_rng(scenario.texture_seed + 1)
-        cell = max(int(round(scenario.rough_scale / res)), 1)
+        cell = int(round(scenario.rough_scale / res))
         base = _value_noise(rng, (ny, nx), cell)
-        detail = _value_noise(rng, (ny, nx), max(cell // 2, 1))
+        detail = _value_noise(rng, (ny, nx), cell // 2)
         heights = scenario.rough_amplitude * (2.0 * (0.7 * base + 0.3 * detail) - 1.0)
 
     if scenario.flat_patches:
@@ -478,9 +476,8 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
     """Noise-free depth + intensity render of the world from the nadir camera."""
     origin = camera.position
     cam_z = float(origin[2])
-    local = world.height_at(origin[0], origin[1])
-    if float(local) > _EXIT_HEIGHT / 2 and cam_z <= float(local):
-        raise ValueError("camera must be above the terrain underneath it")
+    if cam_z <= world.surface_height_at(origin[0], origin[1]):
+        raise ValueError("camera must be above the surface underneath it")
 
     h, w = camera.height, camera.width
     xd, yd = camera.rays()
@@ -488,10 +485,6 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
     t_box = np.full((h, w), np.inf)
     for box in world.obstacles:
         base = float(world.height_at(*box.center))
-        if (abs(origin[0] - box.center[0]) < box.extents[0] / 2.0
-                and abs(origin[1] - box.center[1]) < box.extents[1] / 2.0
-                and base < cam_z < base + box.height):
-            raise ValueError("camera must not be inside an obstacle")
         lo = np.array([box.center[0] - box.extents[0] / 2.0,
                        box.center[1] - box.extents[1] / 2.0, base])
         hi = np.array([box.center[0] + box.extents[0] / 2.0,
@@ -524,22 +517,21 @@ def render_true_depth(world: World, camera: CameraModel) -> DepthFrame:
         first = np.maximum(first, 1)  # g > 0 at the window start by construction
 
         iy, ix = np.nonzero(any_hit)
-        if iy.size:
-            k1 = first[iy, ix]
-            ta = ts[k1 - 1]
-            tb = ts[k1]
-            ga = g[k1 - 1, iy, ix]
-            gb = g[k1, iy, ix]
-            tm = 0.5 * (ta + tb)
-            gm = (cam_z - tm) - world.height_at(origin[0] + tm * xd[ix], origin[1] + tm * yd[iy])
-            take_left = gm <= 0.0
-            tb = np.where(take_left, tm, tb)
-            gb = np.where(take_left, gm, gb)
-            ta = np.where(take_left, ta, tm)
-            ga = np.where(take_left, ga, gm)
-            denom = ga - gb
-            t_star = np.where(denom > 0.0, ta + ga * (tb - ta) / np.where(denom > 0.0, denom, 1.0), tb)
-            t_terrain[iy, ix] = t_star
+        k1 = first[iy, ix]
+        ta = ts[k1 - 1]
+        tb = ts[k1]
+        ga = g[k1 - 1, iy, ix]
+        gb = g[k1, iy, ix]
+        tm = 0.5 * (ta + tb)
+        gm = (cam_z - tm) - world.height_at(origin[0] + tm * xd[ix], origin[1] + tm * yd[iy])
+        take_left = gm <= 0.0
+        tb = np.where(take_left, tm, tb)
+        gb = np.where(take_left, gm, gb)
+        ta = np.where(take_left, ta, tm)
+        ga = np.where(take_left, ga, gm)
+        denom = ga - gb
+        t_star = np.where(denom > 0.0, ta + ga * (tb - ta) / np.where(denom > 0.0, denom, 1.0), tb)
+        t_terrain[iy, ix] = t_star
 
     depth = np.minimum(t_terrain, t_box)
     valid = np.isfinite(depth) & (depth > 0.0) & (depth <= _MAX_RANGE)

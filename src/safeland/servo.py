@@ -83,8 +83,6 @@ def detect_features(intensity: np.ndarray, allowed: np.ndarray) -> np.ndarray:
                                        mode="nearest") == score
     cand = ok & local_max & (score > _MIN_CORNER_SCORE)
     vs, us = np.nonzero(cand)
-    if vs.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
     order = np.lexsort((us, vs, -score[vs, us]))[:_N_MAX]
     return np.stack([us[order], vs[order]], axis=1).astype(np.int64)
 
@@ -100,10 +98,10 @@ def _sample_patches(intensity: np.ndarray, points: np.ndarray) -> np.ndarray:
 def _warp_template(templates: np.ndarray, scale: float) -> np.ndarray:
     """Templates (..., P, P) as they would appear after the scene magnified by ``scale``.
 
-    Exact identity at scale 1 so a static scene still matches bit-exactly.
+    Exact identity at scale 1, so a static scene still matches bit-exactly:
+    every sample then lands on a node, which takes weight 1 and its
+    neighbour weight 0.
     """
-    if scale == 1.0:
-        return templates
     p = templates.shape[-1]
     c = (p - 1) / 2.0
     i0, f, e, _ = _lattice_coords((np.arange(p) - c) / scale + c, p)

@@ -31,7 +31,7 @@ def params() -> Params:
 
 
 def make_flat_scenario(**overrides) -> Scenario:
-    base = dict(name="flat-test", terrain="flat", extent=(6.0, 5.0),
+    base = dict(terrain="flat", extent=(6.0, 5.0),
                 texture_seed=5, altitude=2.2, start=(3.6, 2.9))
     base.update(overrides)
     return Scenario(**base)

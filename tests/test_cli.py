@@ -9,6 +9,7 @@ from safeland import cli
 from safeland.cli import (EXIT_CONFIG, EXIT_CRASHED, EXIT_IO, EXIT_OK,
                           EXIT_TIMEOUT, main, parse_overrides, parse_seeds)
 from safeland.params import ConfigError, Params, apply_overrides
+from safeland.scene import Box, FlatPatch, NoiseModel, Scenario
 
 from conftest import SCENARIO_DIR, output_digest
 
@@ -94,13 +95,21 @@ class TestParsing:
         names = set(re.findall(r"`([a-z_][a-z0-9_]*)`", listed))
         assert names == {f.name for f in fields(Params)} | {"lambda"}
 
+    def test_readme_lists_every_scenario_field(self):
+        # the field paragraph under "### Scenario files" in the README
+        text = (SCENARIO_DIR.parent / "README.md").read_text(encoding="utf-8")
+        listed = text.split("### Scenario files\n\n", 1)[1].split("\n\n", 1)[0]
+        names = set(re.findall(r"`([a-z_][a-z0-9_]*)`", listed))
+        declared = {f.name for cls in (Scenario, NoiseModel, Box, FlatPatch) for f in fields(cls)}
+        assert names == declared | {"flat", "ramp", "rough"}   # and the terrain kinds
+
 
 def write_wall_scenario(tmp_path, start="[1.0, 1.0]"):
     """A scene whose scan at 1 m altitude flies into a 2 m box on its first row
     (or starts inside it, from ``start`` [3.0, 1.0])."""
     scenario = tmp_path / "wall.yaml"
     scenario.write_text(
-        "name: wall\nterrain: flat\nextent: [6.0, 5.0]\ntexture_seed: 5\n"
+        "terrain: flat\nextent: [6.0, 5.0]\ntexture_seed: 5\n"
         f"altitude: 1.0\nstart: {start}\n"
         "obstacles:\n  - center: [3.0, 1.0]\n    extents: [0.6, 0.6]\n"
         "    height: 2.0\n")
@@ -210,7 +219,8 @@ class TestMain:
         ("obstacles: [{centre: [2.0, 2.0], extents: [0.5, 0.5], height: 1.0}]", "centre"),
         ("flat_patches: [{center: [3.0, 3.0], radius: .nan}]", "radius"),
         ("flat_patches: [{center: [3.0, 3.0], half_extents: [-1.0, 1.0]}]", "half_extents"),
-        ("noise: {sigma_rnage: 0.1}", "sigma_rnage")])
+        ("noise: {sigma_rnage: 0.1}", "sigma_rnage"),
+        ("name: flat", "unknown key(s) ['name']")])
     def test_out_of_domain_scenario_number_exits_with_config_error(
             self, tmp_path, capsys, setting, name):
         scenario = tmp_path / "bad_number.yaml"

@@ -116,6 +116,15 @@ class TestRender:
         with pytest.raises(ValueError):
             render_true_depth(flat_world, CameraModel(96, 72, 72.0, [3.0, 2.5, -0.5]))
 
+    @pytest.mark.parametrize("x", [3.0, 3.5], ids=["inside", "footprint_edge"])
+    def test_camera_below_a_box_top_on_its_footprint_rejected(self, box_world, x):
+        with pytest.raises(ValueError, match="above the surface"):
+            render_true_depth(box_world, CameraModel(96, 72, 72.0, [x, 2.5, 0.5]))
+
+    def test_camera_beside_a_box_below_its_top_renders_bit_exact(self, box_world):
+        frame = assert_renders_like_full_march(box_world, CameraModel(96, 72, 72.0, [3.8, 2.5, 0.5]))
+        assert (frame.depth[frame.valid] < 0.5).any()   # the box's side face, in view
+
 
 def assert_renders_like_full_march(world, camera):
     depth, valid, intensity = oracles.render_full_march(world, camera)
@@ -129,6 +138,13 @@ def assert_renders_like_full_march(world, camera):
 @pytest.fixture(scope="module")
 def cluttered_world():
     return build_world(load_scenario(SCENARIO_DIR / "cluttered.yaml"))
+
+
+@pytest.fixture(scope="module")
+def box_world():
+    """Flat ground with one 1 x 1 x 1 m box centred at (3.0, 2.5)."""
+    return build_world(make_flat_scenario(
+        obstacles=(Box(center=(3.0, 2.5), extents=(1.0, 1.0), height=1.0),)))
 
 
 def spy_box_hits(monkeypatch) -> list:
@@ -167,6 +183,11 @@ class TestBoundedMarch:
         frame = assert_renders_like_full_march(
             cluttered_world, CameraModel(96, 72, 72.0, list(position)))
         assert frame.valid.any() and not frame.valid.all()
+
+    def test_view_missing_the_terrain_renders_all_invalid(self, flat_world):
+        # far beyond the 6 x 5 m world: no ray meets the terrain
+        frame = assert_renders_like_full_march(flat_world, CameraModel(96, 72, 72.0, [100.0, 100.0, 5.0]))
+        assert not frame.valid.any()
 
     def test_terrain_just_beyond_the_view_bounds_the_window(self):
         # a 0.3 m ridge on the node column one cell past the view's right
@@ -403,7 +424,7 @@ class TestDomains:
                                              burst_prob=0.05, burst_magnitude=0.5)
         assert load_scenario(SCENARIO_DIR / "flat.yaml").start == (5.8, 3.9)
         undersized = load_scenario(SCENARIO_DIR / "undersized.yaml")
-        assert (undersized.name, undersized.extent) == ("undersized", (8.0, 6.0))
+        assert undersized.extent == (8.0, 6.0)
         hires = dataclasses.replace(undersized, camera_width=192, camera_height=144,
                                     camera_focal=144.0)
         assert (hires.camera_width, hires.camera_height) == (192, 144)

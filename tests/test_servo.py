@@ -82,6 +82,10 @@ class TestTracking:
         assert np.all((pts[:, 0] >= 30) & (pts[:, 0] < 70))
         assert np.all((pts[:, 1] >= 20) & (pts[:, 1] < 50))
 
+    def test_textureless_image_detects_no_corner(self):
+        pts = detect_features(np.full((72, 96), 0.5), np.ones((72, 96), dtype=bool))
+        assert pts.shape == (0, 2) and pts.dtype == np.int64
+
     @pytest.mark.parametrize("margin", [1, 4, 7])
     def test_detection_keeps_the_margin(self, margin):
         img = textured_image(seed=3)
